@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import heapq
 import math
+import weakref
 from collections import deque
-from typing import List, Optional, Tuple
+from typing import Deque, List, Optional, Tuple
 
 from ..axi.transaction import AxiTransaction, STATUS_NACK
 from ..core.address_map import AddressMap
@@ -72,15 +73,20 @@ class BaseFabric:
         ]
         self.num_mcs = platform.num_pch // platform.pch_per_mc
         self.mcs: List[MemoryController] = []
+        # The controllers call back through a weak proxy: bound methods
+        # would make every fabric a reference cycle that only the cyclic
+        # gc frees, and a finished fabric is then freed by refcounting.
+        me = weakref.proxy(self)
         for m in range(self.num_mcs):
             group = self.pchs[m * platform.pch_per_mc:(m + 1) * platform.pch_per_mc]
             self.mcs.append(MemoryController(
                 m, group, t, self.sched,
-                on_read_data=self._on_read_data,
-                on_write_accept=self._on_write_accept,
-                response_space=self._response_space,
+                on_read_data=lambda txn, time: me._on_read_data(txn, time),
+                on_write_accept=lambda txn, time: me._on_write_accept(
+                    txn, time),
+                response_space=lambda pch: me._response_space(pch),
                 mc_latency=platform.fabric.mc_latency,
-                on_nack=self._on_nack,
+                on_nack=lambda txn, time: me._on_nack(txn, time),
             ))
         #: Hot-path lookup: PCH index -> its memory controller.
         self._mc_by_pch: List[MemoryController] = [
@@ -101,11 +107,26 @@ class BaseFabric:
         """Earliest future cycle at which :meth:`step` could have an
         observable effect, assuming no new submissions arrive.
 
-        Returns ``math.inf`` when the fabric is provably quiescent.  The
-        base implementation covers the shared model state (scheduled
-        completion events and the memory controllers); subclasses extend
-        it with their interconnect state and must stay *conservative*:
-        answering ``cycle + 1`` whenever in doubt is always correct.
+        Called right after :meth:`step` ran at ``cycle``.  Returns
+        ``math.inf`` when the fabric is provably quiescent.  The base
+        implementation covers the shared model state (scheduled completion
+        events and the memory controllers); subclasses extend it with
+        their interconnect state and must stay *conservative*: answering
+        ``cycle + 1`` whenever in doubt is always correct.
+
+        Two proofs let a starved fabric answer far ahead, so the engine
+        jumps a dead-channel window instead of stepping it:
+
+        * **parked offline queues** — :meth:`MemoryController.next_event`
+          ignores queues whose channel is offline; only a fault event can
+          revive it, and the engine loops clamp every jump to those;
+        * **staged pops** — a heap-fed fabric's staged transactions were
+          all refused by this cycle's sweep, so they can be accepted no
+          earlier than the cycle after a scheduler pop frees space
+          (:meth:`_ingress_event`).
+
+        The scheduler's booking horizon is left out on purpose; see
+        :meth:`MemoryController.next_event` for the measurement.
         """
         nxt = math.inf
         ev = self._events
@@ -118,6 +139,28 @@ class BaseFabric:
                 if nxt <= cycle + 1:
                     break
         return nxt if nxt > cycle + 1 else cycle + 1
+
+    def _ingress_event(self, cycle: int, staged: Deque[AxiTransaction],
+                       in_transit: List[tuple]) -> float:
+        """Horizon term of a heap-fed ingress: ``in_transit`` arrivals
+        feeding a ``staged`` retry deque (the MAO and ideal fabrics).
+
+        The sweep of the step at ``cycle`` refused every transaction
+        still staged (anything accepted left the deque), so each target
+        queue was full, and only a scheduler pop frees space.  Staged work
+        therefore pins the horizon to ``cycle + 1`` only when some
+        controller popped during this step — pops happen after the sweep
+        — and otherwise waits for the next arrival, whose sweep may find
+        a queue with space.  A starved fabric, every credit parked behind
+        an offline channel, answers ``math.inf`` here.
+        """
+        if staged:
+            for mc in self.mcs:
+                if mc.last_pop == cycle:
+                    return cycle + 1
+        if in_transit:
+            return math.ceil(in_transit[0][0])
+        return math.inf
 
     def drain_completions(self) -> List[Tuple[AxiTransaction, float]]:
         done = self.completions

@@ -72,12 +72,17 @@ class IdealFabric(BaseFabric):
         nxt = super().next_event(cycle)
         if nxt <= cycle + 1:
             return nxt
-        if self._staged:
-            return cycle + 1
-        if self._in_transit:
-            t = math.ceil(self._in_transit[0][0])
-            if t < nxt:
-                nxt = t
+        if self._stall_until > cycle:
+            # The stall froze the whole ingress (transit drain and staged
+            # retries), so no sweep ran this cycle: the first live sweep,
+            # against queues that may have drained meanwhile, is the
+            # earliest acceptance point.
+            t = (math.ceil(self._stall_until)
+                 if self._staged or self._in_transit else math.inf)
+        else:
+            t = self._ingress_event(cycle, self._staged, self._in_transit)
+        if t < nxt:
+            nxt = t
         return nxt if nxt > cycle + 1 else cycle + 1
 
     def telemetry_probes(self) -> list:

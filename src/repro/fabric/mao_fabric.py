@@ -20,7 +20,6 @@ rule on read completion).
 from __future__ import annotations
 
 import heapq
-import math
 from collections import deque
 from typing import Callable, Deque, List, Optional
 
@@ -184,12 +183,9 @@ class MaoFabric(BaseFabric):
         nxt = super().next_event(cycle)
         if nxt <= cycle + 1:
             return nxt
-        if self._staged:
-            return cycle + 1
-        if self._in_transit:
-            t = math.ceil(self._in_transit[0][0])
-            if t < nxt:
-                nxt = t
+        t = self._ingress_event(cycle, self._staged, self._in_transit)
+        if t < nxt:
+            nxt = t
         return nxt if nxt > cycle + 1 else cycle + 1
 
     # -- telemetry ---------------------------------------------------------------

@@ -7,7 +7,7 @@ vector engine tier tracks in arrays:
   :class:`~repro.fabric.links.ArbOutput` (bus meters, round-robin
   pointers, booked pending work, stall counters, in-flight heads);
 * :class:`McStateSoA` — the controller plane: shared command meters,
-  accept counters and queue/pending occupancy per
+  accept counters, last-pop cycles and queue/pending occupancy per
   :class:`~repro.dram.controller.MemoryController`;
 * :class:`MasterStateSoA` — the credit plane: outstanding counts,
   pacing meters and retry/NACK counters per
@@ -92,12 +92,13 @@ class ArbStateSoA:
 class McStateSoA:
     """One row per memory controller."""
 
-    __slots__ = ("cmd_free", "accepts", "queue_len", "pending_len",
-                 "pending_head")
+    __slots__ = ("cmd_free", "accepts", "last_pop", "queue_len",
+                 "pending_len", "pending_head")
 
     def __init__(self, n_mc: int, pch_per_mc: int) -> None:
         self.cmd_free = np.zeros(n_mc, dtype=np.float64)
         self.accepts = np.zeros(n_mc, dtype=np.int64)
+        self.last_pop = np.zeros(n_mc, dtype=np.int64)
         self.queue_len = np.zeros((n_mc, pch_per_mc), dtype=np.int64)
         self.pending_len = np.zeros(n_mc, dtype=np.int64)
         self.pending_head = np.zeros(n_mc, dtype=np.float64)
@@ -114,6 +115,7 @@ class McStateSoA:
         for i, mc in enumerate(mcs):
             self.cmd_free[i] = mc.cmd_free
             self.accepts[i] = mc.accepts
+            self.last_pop[i] = mc.last_pop
             self.queue_len[i] = [len(q) for q in mc.queues]
             pend = mc._pending
             self.pending_len[i] = len(pend)
@@ -127,6 +129,7 @@ class McStateSoA:
         for i, mc in enumerate(mcs):
             mc.cmd_free = float(self.cmd_free[i])
             mc.accepts = int(self.accepts[i])
+            mc.last_pop = int(self.last_pop[i])
 
     def arrays(self) -> List[np.ndarray]:
         return [getattr(self, name) for name in self.__slots__]

@@ -92,10 +92,12 @@ class SimConfig:
     ``REPRO_TELEMETRY=1``."""
 
     telemetry_interval: int = 256
-    """Baseline sampling period of the telemetry layer, in fabric
-    cycles.  Samples are additionally taken at every fast-path clock
-    jump and once at the end of the run, so lowering this only sharpens
-    the *time resolution* of counter tracks, never the run totals."""
+    """Sampling period of the telemetry layer, in fabric cycles.
+    Samples sit on the grid of multiples of this period on every engine
+    tier (grid cycles a clock jump skips are filled in from the frozen
+    pre-jump state), plus one final sample at the end of the run, so
+    lowering this only sharpens the *time resolution* of counter
+    tracks, never the run totals."""
 
     txn_timeout_cycles: Optional[int] = None
     """Per-transaction watchdog: a transaction seeing no completion (or

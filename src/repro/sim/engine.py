@@ -12,20 +12,25 @@ The engine also enforces the conservation invariant — every issued
 transaction is either completed or demonstrably buffered somewhere — which
 guards against simulator bugs silently inflating throughput.
 
-Two interchangeable main loops drive the model:
+Interchangeable main loops drive the model:
 
-* the **legacy loop** (:meth:`Engine.run` with ``fast_path=False``) steps
-  every master and the fabric once per cycle — the reference semantics;
+* the **legacy loop** (``engine="legacy"``) steps every master and the
+  fabric once per cycle — the reference semantics;
 * the **fast path** (default) skips masters that provably cannot issue
   this cycle (credits exhausted / pacing meter pending) and, when every
   master is asleep, asks the fabric for its *event horizon*
   (:meth:`~repro.fabric.base.BaseFabric.next_event`) and jumps the clock
-  forward over provably empty cycles.
+  forward over provably empty cycles.  The horizon carries the two
+  starvation proofs — queues of an offline channel are parked, and
+  staged arrivals refused for full queues wait for a scheduler pop — so
+  a saturated channel that goes dead is jumped, not stepped;
+* the **vector tier** (``engine="vector"``, :mod:`repro.sim.vector`)
+  adds per-component due times on the segmented fabric.
 
-The fast path is an optimization, never a model change: skipped work is
-exactly the work the legacy loop would have executed as a no-op, so both
-loops produce bit-identical :class:`SimReport` results (enforced by the
-differential tests in ``tests/test_engine_fastpath.py``).
+The optimized loops are optimizations, never model changes: skipped work
+is exactly the work the legacy loop would have executed as a no-op, so
+every loop produces bit-identical :class:`SimReport` results (enforced by
+the differential tests in ``tests/test_engine_fastpath.py``).
 """
 
 from __future__ import annotations
@@ -237,9 +242,12 @@ class Engine:
         its master for the following cycle.  When every master sleeps
         beyond the next cycle, the clock jumps to the earliest of the
         master horizon, the fabric's event horizon, the end of warmup
-        (the DRAM snapshot boundary), and the end of the run.  The
-        skipped cycles are exactly those in which the legacy loop would
-        have executed no observable work.
+        (the DRAM snapshot boundary), the next fault event, the watchdog
+        deadlines, and the end of the run.  The skipped cycles are
+        exactly those in which the legacy loop would have executed no
+        observable work.  The fabric's horizon is asked right after its
+        step, which is what its staged-pop proof relies on; with a
+        saturated channel offline it proves the whole dead window idle.
         """
         fabric = self.fabric
         masters = self.masters
@@ -314,9 +322,9 @@ class Engine:
                 if target > nxt:
                     nxt = int(min(target, cycles))
                     if tele is not None:
-                        # Event-horizon hook: snapshot the pre-jump state
-                        # (it persists unchanged across the skipped
-                        # stretch) instead of sampling per skipped cycle.
+                        # Event-horizon hook: the pre-jump state persists
+                        # across the skipped stretch, so grid samples
+                        # inside it are filled in from one reading.
                         tele.note_jump(cycle, nxt)
             cycle = nxt
         if not snapshotted:

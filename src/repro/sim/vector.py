@@ -6,8 +6,10 @@ sleeps and the fabric's conservative :meth:`~repro.fabric.base.BaseFabric.next_e
 allows it, the vector tier tracks a **per-component due time** — one
 slot per arbitrated output bus, per memory controller and per master —
 and each stepped cycle advances only the components whose due time has
-arrived.  The segmented fabric's arbitration planes keep their dues in
-numpy arrays (vectorized ``due <= cycle`` scans pay there, with dozens
+arrived.  Only the segmented fabric and the masters are specialized:
+the heap-fed MAO and ideal fabrics step whole and answer through their
+own ``next_event``, which already carries the starvation proofs.  The
+segmented fabric's arbitration planes keep their dues in numpy arrays (vectorized ``due <= cycle`` scans pay there, with dozens
 of switch outputs per plane); the MC dues and master wake times live in
 plain python lists under an exactly-maintained scalar minimum cache,
 which profiling showed beats numpy reductions at those plane sizes.
@@ -62,7 +64,6 @@ from typing import TYPE_CHECKING, Any, Callable, List, Sequence, Set
 
 import numpy as np
 
-from ..fabric.ideal import IdealFabric
 from ..fabric.links import ArbOutput, Fifo
 from ..fabric.mao_fabric import MaoFabric
 from ..fabric.segmented import SegmentedFabric
@@ -188,8 +189,8 @@ class _BaseStepper:
     The generic tier: step the whole fabric every stepped cycle and use
     its conservative ``next_event`` — correct for any
     :class:`~repro.fabric.base.BaseFabric`, with no component skipping.
-    Subclasses specialize for the shipped fabrics; a user fabric (or a
-    subclass overriding ``step``) falls back here, so the vector engine
+    The MAO and ideal fabrics run here, as does any user fabric (or a
+    segmented subclass overriding ``step``), so the vector engine
     degrades to fast-path behavior instead of guessing at unknown
     semantics.
     """
@@ -208,107 +209,6 @@ class _BaseStepper:
 
     def detach(self) -> None:
         """Remove installed waker hooks."""
-
-
-class _TransitStepper(_BaseStepper):
-    """Heap-fed fabrics (MAO, ideal): transit + staged + controllers.
-
-    Re-implements the fabric's step body with due-driven controller
-    stepping; the transit heap and staging deque are cheap to inspect
-    live, so only the controller plane needs cached dues.
-    """
-
-    def __init__(self, fabric: "BaseFabric") -> None:
-        super().__init__(fabric)
-        self.fab: Any = fabric
-        self.is_ideal = isinstance(fabric, IdealFabric)
-        self.mcdues = _McDues(fabric.mcs, fabric.sched.horizon)
-        #: Earliest cycle the next staged-retry sweep could accept
-        #: something.  ``inf`` after a sweep refused everything: a
-        #: refusal means the target queue is full, and only a scheduler
-        #: pop frees space.  Pops happen exclusively inside the
-        #: due-driven controller loop below, which re-arms this to
-        #: ``cycle + 1`` whenever a stepped controller's queues shrank
-        #: while staged work exists — the legacy sweep that first
-        #: succeeds runs the cycle *after* the pop, never earlier.
-        self._staged_ready = 0.0
-
-    def step(self, cycle: int) -> None:
-        fab = self.fab
-        if not self.is_ideal or cycle >= fab._stall_until:
-            transit = fab._in_transit
-            while transit and transit[0][0] <= cycle:
-                _, _, txn = heapq.heappop(transit)
-                fab._staged.append(txn)
-            if fab._staged:
-                fab._staged = fab._retry_staged(fab._staged, cycle)
-                self._staged_ready = _INF
-        mcdues = self.mcdues
-        if mcdues.due_min <= cycle:
-            track = bool(fab._staged)
-            popped = False
-            mcs = mcdues.mcs
-            for i, d in enumerate(mcdues.due):
-                if d <= cycle:
-                    mc = mcs[i]
-                    if track:
-                        before = sum(len(q) for q in mc.queues)
-                        mc.step(cycle)
-                        if sum(len(q) for q in mc.queues) < before:
-                            popped = True
-                    else:
-                        mc.step(cycle)
-                    mcdues.recompute(i, cycle)
-            mcdues.refresh_min()
-            if popped:
-                self._staged_ready = cycle + 1.0
-        ev = fab._events
-        if ev and ev[0][0] <= cycle:
-            fab._pop_due_events(cycle)
-
-    def next_due(self, cycle: int) -> float:
-        fab = self.fab
-        d = self.mcdues.due_min
-        ev = fab._events
-        if ev:
-            t = float(math.ceil(ev[0][0]))
-            if t < d:
-                d = t
-        t = _INF
-        if fab._staged:
-            # This cycle's sweep refused every transaction still staged
-            # (anything accepted left the deque), so each target queue
-            # is full; the pop tracking above tells us the earliest
-            # cycle a sweep could next succeed.  A starved fabric —
-            # every credit parked behind an offline channel, no pops
-            # anywhere — contributes ``inf`` here and the clock jumps
-            # straight to the next fault event or horizon clamp.
-            t = self._staged_ready
-        if fab._in_transit:
-            # A fresh arrival may target a queue with space and be
-            # accepted by the sweep of its arrival cycle.
-            a = float(math.ceil(fab._in_transit[0][0]))
-            if a < t:
-                t = a
-        stall = fab._stall_until if self.is_ideal else 0.0
-        if stall > cycle and (fab._staged or fab._in_transit):
-            # The ideal fabric's whole ingress (transit drain *and*
-            # staged retries) is frozen until the stall expires, so no
-            # sweep ran this cycle and the refused-this-cycle reasoning
-            # above does not apply: the first live sweep — against
-            # queues whose occupancy may have dropped meanwhile — is
-            # the earliest acceptance point, no earlier and no later.
-            t = float(math.ceil(stall))
-        if t < d:
-            d = t
-        return d if d > cycle + 1 else cycle + 1.0
-
-    def resync(self) -> None:
-        self._staged_ready = 0.0
-        self.mcdues.resync()
-
-    def detach(self) -> None:
-        self.mcdues.detach()
 
 
 class _SegmentedStepper(_BaseStepper):
@@ -493,20 +393,17 @@ class _SegmentedStepper(_BaseStepper):
 def make_stepper(fabric: "BaseFabric") -> _BaseStepper:
     """Pick the stepper tier for ``fabric``.
 
-    Specialized steppers re-implement the fabric's ``step`` body, so
-    they are only safe when the fabric's *step semantics* are exactly
-    the shipped ones — gated on method identity, not ``isinstance``
-    alone.  Subclasses that override ``step`` (or, for the MAO, the
-    hooks the lane-credit waker rides on) fall back to the generic
-    tier, which is correct for anything.
+    The segmented stepper re-implements the fabric's ``step`` body, so
+    it is only safe when the fabric's *step semantics* are exactly the
+    shipped ones — gated on method identity, not ``isinstance`` alone.
+    Everything else, the heap-fed MAO and ideal fabrics included, takes
+    the generic tier: their own ``next_event`` already carries the
+    starvation proofs (parked offline queues, staged pops), so a
+    per-component copy of them here would only duplicate it.
     """
     t = type(fabric)
     if isinstance(fabric, SegmentedFabric) and t.step is SegmentedFabric.step:
         return _SegmentedStepper(fabric)
-    if isinstance(fabric, MaoFabric) and t.step is MaoFabric.step:
-        return _TransitStepper(fabric)
-    if isinstance(fabric, IdealFabric) and t.step is IdealFabric.step:
-        return _TransitStepper(fabric)
     return _BaseStepper(fabric)
 
 
@@ -702,8 +599,8 @@ def run_vector(eng: "Engine") -> None:
                 if target > nxt:
                     nxt = int(min(target, cycles))
                     if tele is not None:
-                        # Event-horizon hook: snapshot the pre-jump
-                        # state instead of sampling per skipped cycle.
+                        # Event-horizon hook: fill the grid samples
+                        # inside the jump from the pre-jump state.
                         tele.note_jump(cycle, nxt)
             cycle = nxt
     finally:

@@ -4,16 +4,18 @@
 (exactly like the sanitizer: ``engine.telemetry`` is ``None`` when off,
 and the engine then pays one ``is None`` test per loop iteration).  While
 attached it takes **samples** — one reading of every registered
-:class:`~repro.telemetry.metrics.Probe` — at three kinds of moment:
+:class:`~repro.telemetry.metrics.Probe` — at two kinds of moment:
 
-* every ``interval`` simulated cycles (the time-sliced baseline),
-* whenever the fast path is about to jump the clock over a quiescent
-  stretch (the *event-horizon* hook: the state snapshot right before a
-  jump is the last distinct state until the jump target, so sampling
-  there loses nothing while keeping the fast path fast — nothing is
-  sampled *per skipped cycle*),
+* on the grid of every ``interval``-th simulated cycle (0, interval,
+  2 * interval, ...),
 * once at the end of the run (so final counter totals are always
-  captured even when the horizon outran the sampling interval).
+  captured even when the run length is off the grid).
+
+Grid cycles that an optimized engine tier jumps over are filled in by
+the *event-horizon* hook :meth:`Telemetry.note_jump` from the pre-jump
+state, which persists unchanged across the skipped stretch.  Every tier
+therefore takes the same samples at the same cycles, and the probes are
+read once per jump, never per skipped cycle.
 
 Samples are stored column-major-friendly (one row of floats per sample)
 and post-processed by the exporters; the sampler itself never aggregates
@@ -113,31 +115,41 @@ class Telemetry:
         cycles = self.sample_cycles
         if cycles and cycles[-1] == cycle:
             return
-        row: List[float] = []
+        self._record(cycle, [float(p.read()) for p in self.probes.probes])
+        self.next_sample = cycle + self.interval
+
+    def _record(self, cycle: int, row: List[float]) -> None:
         hw = self.high_water
         hists = self.hists
-        for i, p in enumerate(self.probes.probes):
-            v = float(p.read())
-            row.append(v)
+        for i, v in enumerate(row):
             if v > hw[i]:
                 hw[i] = v
             h = hists[i]
             if h is not None:
                 h.add(v)
-        cycles.append(cycle)
+        self.sample_cycles.append(cycle)
         self.samples.append(row)
-        self.next_sample = cycle + self.interval
 
     def note_jump(self, cycle: int, target: int) -> None:
         """The fast path is about to jump ``cycle`` -> ``target``.
 
-        The pre-jump state is sampled (it persists unchanged until the
-        target), and the jump span is recorded so trace exports can mark
-        quiescent stretches explicitly instead of leaving counter tracks
-        to interpolate through them.
+        The skipped cycles are exactly those in which the per-cycle loop
+        changes nothing, so every grid sample strictly inside the jump
+        reads the frozen pre-jump state: it is filled in from one reading
+        taken now, and the grid stays where the per-cycle loop has it.
+        The jump span is recorded so trace exports can mark quiescent
+        stretches explicitly instead of leaving counter tracks to
+        interpolate through them.
         """
         self.jumps.append((cycle, target))
-        self.sample(cycle)
+        nxt = self.next_sample
+        if nxt < target:
+            row = [float(p.read()) for p in self.probes.probes]
+            step = self.interval
+            while nxt < target:
+                self._record(nxt, list(row))
+                nxt += step
+            self.next_sample = nxt
 
     def finish(self, cycle: int) -> None:
         """Final sample at the end of the run."""
@@ -177,10 +189,9 @@ class Telemetry:
     def high_water_marks(self) -> Dict[str, float]:
         """Observed high-water mark per *gauge* probe.
 
-        Sampled, so a spike strictly between two sample points can be
-        missed; with event-horizon sampling every quiescence boundary is
-        captured, which in practice bounds the error to intra-burst
-        jitter.  Documented as a lower bound.
+        Sampled on the interval grid, so a spike strictly between two
+        grid points can be missed.  Documented as a lower bound; the
+        same on every engine tier.
         """
         return {p.name: self.high_water[i]
                 for i, p in enumerate(self.probes.probes)

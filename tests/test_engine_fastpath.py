@@ -14,8 +14,12 @@ every engine pair diffed, plus the drain/deadlock edge cases.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
+from repro.dram.controller import SchedulerConfig
 from repro.errors import SimulationError
 from repro.fabric import IdealFabric, MaoFabric, SegmentedFabric
 from repro.faults import FaultEvent, FaultKind, FaultPlan
@@ -150,40 +154,145 @@ def test_fast_path_actually_skips_cycles(small_platform):
 
 
 def test_vector_skips_cycles(small_platform):
-    """The vector tier must exploit idle stretches too.  Its per-component
-    dues and the fast path's whole-fabric horizon are each conservative in
-    *different* places, so neither strictly subsumes the other on healthy
-    runs — but the vector tier must still skip a substantial fraction of
-    the low-intensity scenario."""
+    """The vector tier must exploit idle stretches too: on the MAO it
+    uses the fabric's own horizon plus its extended master sleep rules,
+    and must still skip cycles of the low-intensity scenario."""
     vec, _ = _run(small_platform, "mao", Pattern.CCS, TWO_TO_ONE, 1,
                   "vector")
     assert vec.stepped_cycles < vec.config.cycles
 
 
-def test_vector_jumps_starvation_window(small_platform):
-    """Where the vector tier provably out-skips the fast path: the hot
-    PCH goes offline with no degrade remap and no watchdogs, so every
-    credit parks behind the dead channel and the staged deque is refused
-    forever.  The fast path's ``next_event`` sees non-empty MC queues and
-    staged work and grinds cycle by cycle; the vector stepper's pop
-    tracking proves no acceptance is possible and jumps the window."""
+def _starved_mao(small_platform, engine, cycles=2400):
+    """The hot PCH goes offline with no degrade remap and no watchdogs:
+    every credit parks behind the dead channel and the staged deque is
+    refused forever."""
     plan = FaultPlan([FaultEvent(FaultKind.PCH_OFFLINE, at=400, pch=0)],
                      degrade=False)
+    fabric = MaoFabric(small_platform)
+    sources = make_hotspot_sources(
+        0, small_platform, burst_len=8, rw=READ_ONLY,
+        address_map=fabric.address_map)
+    cfg = SimConfig(cycles=cycles, warmup=300, outstanding=16,
+                    engine=engine)
+    return Engine(fabric, sources, cfg, faults=plan)
+
+
+def test_optimized_tiers_jump_starvation_window(small_platform):
+    """The fabric's horizon parks the dead channel's queue and proves the
+    refused staged deque cannot move until a scheduler pop, so both
+    optimized tiers jump the starvation window instead of grinding it."""
     stepped = {}
     reports = {}
     for engine in ENGINE_TIERS:
-        fabric = MaoFabric(small_platform)
-        sources = make_hotspot_sources(
-            0, small_platform, burst_len=8, rw=READ_ONLY,
-            address_map=fabric.address_map)
-        cfg = SimConfig(cycles=2400, warmup=300, outstanding=16,
-                        engine=engine)
-        eng = Engine(fabric, sources, cfg, faults=plan)
+        eng = _starved_mao(small_platform, engine)
         reports[engine] = eng.run()
         stepped[engine] = eng.stepped_cycles
     assert reports["fast"] == reports["legacy"]
     assert reports["vector"] == reports["legacy"]
-    assert stepped["vector"] < stepped["fast"] / 2
+    assert stepped["fast"] < stepped["legacy"] / 4
+    assert stepped["vector"] < stepped["legacy"] / 4
+
+
+def test_drain_of_starved_fabric_jumps_to_deadline(small_platform):
+    """A drain that can never finish must fail with the same error on
+    the fast and legacy tiers — and the fast tier must jump straight to
+    the drain deadline instead of stepping every cycle up to it."""
+    errors = {}
+    steps = {}
+    for engine in ("fast", "legacy"):
+        eng = _starved_mao(small_platform, engine, cycles=1200)
+        eng.run()
+        fabric = eng.fabric
+        calls = [0]
+        real_step = fabric.step
+
+        def counting_step(cycle, _real=real_step, _calls=calls):
+            _calls[0] += 1
+            _real(cycle)
+        fabric.step = counting_step
+        with pytest.raises(SimulationError, match="drain") as exc:
+            eng.drain(max_cycles=5_000)
+        errors[engine] = (type(exc.value), str(exc.value))
+        steps[engine] = calls[0]
+    assert errors["fast"] == errors["legacy"]
+    assert steps["legacy"] == 5_000
+    assert steps["fast"] < 1_000
+
+
+WRITE_ONLY = RWRatio(0, 1)
+
+
+def _hotspot_tiers(small_platform, fabric_key, rw, plan=None, sched=None,
+                   cycles=1600):
+    """Hot-spot traffic on PCH 0 under every tier; the reports must agree."""
+    reports = {}
+    for engine in ENGINE_TIERS:
+        fabric = FABRICS[fabric_key](small_platform, sched=sched)
+        sources = make_hotspot_sources(
+            0, small_platform, burst_len=8, rw=rw,
+            address_map=fabric.address_map)
+        cfg = SimConfig(cycles=cycles, warmup=300, outstanding=16,
+                        engine=engine)
+        reports[engine] = Engine(fabric, sources, cfg, faults=plan).run()
+    assert reports["fast"] == reports["legacy"], "fast != legacy"
+    assert reports["vector"] == reports["legacy"], "vector != legacy"
+
+
+def test_ideal_link_stall_with_staged_work(small_platform):
+    """A link stall on the ideal fabric freezes transit *and* the staged
+    retries.  Posted writes return no credit while the stall lasts, so
+    nothing is in transit while the hot queue drains; the horizon must
+    still wake at the stall's end, where the sweep refills the queue."""
+    plan = FaultPlan([FaultEvent(FaultKind.LINK_STALL, at=500,
+                                 duration=700)])
+    # Precondition: the stall strikes while staged work is waiting.
+    fabric = IdealFabric(small_platform)
+    sources = make_hotspot_sources(0, small_platform, burst_len=8,
+                                   rw=WRITE_ONLY,
+                                   address_map=fabric.address_map)
+    Engine(fabric, sources,
+           SimConfig(cycles=501, warmup=300, outstanding=16,
+                     engine="legacy"), faults=plan).run()
+    assert fabric._staged
+    _hotspot_tiers(small_platform, "ideal", WRITE_ONLY, plan)
+
+
+@pytest.mark.parametrize("fabric_key", ["mao", "ideal"])
+def test_one_entry_queues_pop_wakes_staged_work(small_platform,
+                                                fabric_key):
+    """With one-entry scheduler queues a single pop empties the queue, so
+    the controller itself has nothing left to do next cycle; only the
+    staged-pop proof wakes the sweep that refills it."""
+    sched = SchedulerConfig(window=1, queue_capacity=1)
+    _hotspot_tiers(small_platform, fabric_key, TWO_TO_ONE, sched=sched)
+
+
+@pytest.mark.parametrize("fabric_key", ["mao", "ideal"])
+def test_slow_hot_channel_is_not_parked(small_platform, fabric_key):
+    """Only *offline* channels are parked: a slowed hot channel keeps
+    scheduling, and its queue must keep the horizon at the next cycle."""
+    plan = FaultPlan([FaultEvent(FaultKind.PCH_SLOW, at=400, pch=0,
+                                 duration=600, factor=4.0)])
+    _hotspot_tiers(small_platform, fabric_key, TWO_TO_ONE, plan)
+
+
+@pytest.mark.parametrize("fabric_key", ["mao", "ideal"])
+@pytest.mark.parametrize("engine", ENGINE_TIERS)
+def test_finished_fabric_freed_without_gc(small_platform, fabric_key,
+                                          engine):
+    """Controllers call back into their fabric through a weak proxy, so
+    a finished run leaves no reference cycle: dropping the engine frees
+    the fabric by reference counting alone."""
+    gc.collect()
+    gc.disable()
+    try:
+        eng, _ = _run(small_platform, fabric_key, Pattern.CCS, TWO_TO_ONE,
+                      32, engine, cycles=400, warmup=100)
+        ref = weakref.ref(eng.fabric)
+        del eng
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_legacy_steps_every_cycle(small_platform):
@@ -245,9 +354,9 @@ def test_drain_detects_lost_transactions(small_platform, engine):
 
 def test_lossy_subclass_is_bit_identical(small_platform):
     """A fabric *subclass* overriding a completion hook must still agree
-    across tiers: the vector stepper keys its specializations on method
-    identity, and ``_LossyFabric`` keeps ``IdealFabric.step``, so it gets
-    the transit stepper with its own ``_on_read_data``."""
+    across tiers: the controllers' callbacks resolve through the fabric
+    proxy at call time, so the subclass's ``_on_read_data`` runs on
+    every tier."""
     reports = {}
     for engine in ENGINE_TIERS:
         fabric = _LossyFabric(small_platform)

@@ -181,28 +181,35 @@ def test_pure_observer_on_jumpy_workload(small_platform):
 
 
 def test_telemetry_identical_across_engine_loops(small_platform):
-    """When the fast path never jumps, both loops drive the sampler
-    through the same cycle schedule, so the full sampled series agree.
-    (With jumps, the fast path's extra event-horizon snapshots shift the
-    schedule — only the final counter totals are loop-invariant; see the
-    saturated-pattern precondition below.)"""
-    e_fast, r_fast = _run(small_platform, "xlnx", Pattern.CCS, TWO_TO_ONE,
-                          telemetry=True, fast_path=True)
-    e_legacy, r_legacy = _run(small_platform, "xlnx", Pattern.CCS,
-                              TWO_TO_ONE, telemetry=True, fast_path=False)
-    assert r_fast == r_legacy
-    tf, tl = e_fast.telemetry, e_legacy.telemetry
-    assert tf.jumps == []  # saturated crossing pattern: never quiescent
-    assert tf.sample_cycles == tl.sample_cycles
-    assert tf.finals() == tl.finals()
-    for probe in tf.probes:
-        assert tf.series(probe.name) == tl.series(probe.name), probe.name
+    """Every tier drives the sampler through the same cycle grid: grid
+    samples that fall inside a clock jump are filled in from the frozen
+    pre-jump state, so the sample schedule, every series, the gauge
+    high-water marks and the bottleneck split match the per-cycle oracle
+    even on a workload the optimized tiers jump through."""
+    runs = {engine: _run(small_platform, "ideal", Pattern.SCRA, READ_ONLY,
+                         telemetry=True, outstanding=1, engine=engine)
+            for engine in ("legacy", "fast", "vector")}
+    e_legacy, r_legacy = runs["legacy"]
+    tl = e_legacy.telemetry
+    assert not tl.jumps
+    for engine in ("fast", "vector"):
+        eng, report = runs[engine]
+        tele = eng.telemetry
+        assert report == r_legacy
+        assert tele.jumps, engine  # the workload actually jumps
+        assert tele.sample_cycles == tl.sample_cycles, engine
+        for probe in tele.probes:
+            assert tele.series(probe.name) == tl.series(probe.name), \
+                (engine, probe.name)
+        assert tele.high_water_marks() == tl.high_water_marks(), engine
+        assert (bottleneck_report(tele, report)
+                == bottleneck_report(tl, r_legacy)), engine
 
 
 def test_telemetry_finals_loop_invariant_despite_jumps(small_platform):
-    """On a workload where the fast path does jump, the sampling
-    schedules differ but every final counter total must still agree —
-    the totals are simulation state, not sampling artifacts."""
+    """On a workload where the fast path does jump, every final counter
+    total must agree with the per-cycle loop — the totals are simulation
+    state, not sampling artifacts."""
     e_fast, r_fast = _run(small_platform, "ideal", Pattern.SCRA, READ_ONLY,
                           telemetry=True, outstanding=1)
     e_legacy, r_legacy = _run(small_platform, "ideal", Pattern.SCRA,
@@ -219,11 +226,11 @@ def test_telemetry_finals_loop_invariant_despite_jumps(small_platform):
 
 @pytest.mark.parametrize("engine", ["legacy", "fast", "vector"])
 def test_non_dividing_interval_is_still_pure(small_platform, engine):
-    """Latent gap: with a sampling interval that does *not* divide the
-    engines' jump lengths (97 is prime), the next scheduled sample falls
-    mid-jump and must be realigned, not simulated — telemetry stays a
-    pure observer on every tier, and the report is bit-identical to the
-    telemetry-off run of the same tier."""
+    """With a sampling interval that does *not* divide the engines' jump
+    lengths (97 is prime), grid samples fall mid-jump: they are filled
+    in, not simulated — telemetry stays a pure observer on every tier,
+    the report is bit-identical to the telemetry-off run of the same
+    tier, and every sample but the end-of-run one sits on the grid."""
     _, plain = _run(small_platform, "ideal", Pattern.SCRA, READ_ONLY,
                     telemetry=False, outstanding=1, interval=97,
                     engine=engine)
@@ -231,9 +238,13 @@ def test_non_dividing_interval_is_still_pure(small_platform, engine):
                          telemetry=True, outstanding=1, interval=97,
                          engine=engine)
     assert plain == observed
+    tele = eng.telemetry
     if engine != "legacy":
-        assert eng.telemetry.jumps  # the interval was actually exercised
-        assert any(c % 97 != 0 for c in eng.telemetry.sample_cycles)
+        assert tele.jumps  # the interval was actually exercised
+        assert any(c < g < t for c, t in tele.jumps
+                   for g in tele.sample_cycles)
+    grid = list(range(0, eng.config.cycles, 97))
+    assert tele.sample_cycles == grid + [eng.config.cycles - 1]
 
 
 @pytest.mark.parametrize("engine", ["legacy", "fast", "vector"])
