@@ -11,17 +11,16 @@ bugs (see DESIGN.md §7):
 * :mod:`repro.check.lint` — AST lint forbidding nondeterminism sources
   in ``src/`` (``repro-hbm check --lint``).
 * :mod:`repro.check.statecheck` — whole-program state-coverage /
-  observer-purity / waker-audit analysis proving the engine tiers
-  cannot silently drift (``repro-hbm check --state``).
+  observer-purity analysis proving the engine tiers cannot silently
+  drift (``repro-hbm check --state``).
 """
 
 from .findings import Finding, Report, render, render_json
 from .lint import lint_source, lint_tree
 from .sanitizer import CheckedBankSet, Sanitizer
 from .statecheck import (check_observer_purity, check_state,
-                         check_state_coverage, check_waker_audit,
-                         component_inventory, render_state_report,
-                         state_stats)
+                         check_state_coverage, component_inventory,
+                         render_state_report, state_stats)
 from .static import (WaitGraph, build_wait_graph, check_address_map,
                      check_all, check_config, check_credits,
                      check_experiment, check_fault_plan, check_topology,
@@ -35,7 +34,6 @@ __all__ = [
     "check_observer_purity",
     "check_state",
     "check_state_coverage",
-    "check_waker_audit",
     "component_inventory",
     "render_state_report",
     "state_stats",

@@ -20,8 +20,8 @@ the four ways that property has historically been lost:
   across calls; sim-state classes have silently shared queues this way.
 * **DL005 — float equality**: ``==``/``!=`` against a float literal,
   ``float()`` call, or ``math.inf``/``math.nan`` — cycle math must stay
-  integral, and exact float comparison is how drift between the scalar
-  and vector engine tiers hides.  Deliberate exact tests (sentinel
+  integral, and exact float comparison is how drift between the fast
+  and legacy engine tiers hides.  Deliberate exact tests (sentinel
   probes, rate == 1.0 fast paths) carry the pragma.
 
 Attribute chains are flattened by :func:`repro.check.astutil.dotted`,

@@ -187,7 +187,7 @@ class Sanitizer:
             cfg = eng.config
             ctx["config"] = (f"cycles={cfg.cycles} warmup={cfg.warmup} "
                              f"outstanding={cfg.outstanding} "
-                             f"fast_path={cfg.fast_path}")
+                             f"engine={cfg.engine}")
             if eng.faults is not None and eng.faults:
                 ctx["faults"] = eng.faults.describe()
             if cycle is None:

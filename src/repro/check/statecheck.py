@@ -1,27 +1,25 @@
 """Whole-program state-coverage & observer-purity static analysis.
 
-The three engine tiers (fast / legacy / vector) are only bit-identical
-if two structural properties hold that no dynamic oracle checks until a
-fuzz campaign happens to reach the broken configuration:
+The two engine tiers (fast / legacy) are only bit-identical if two
+structural properties hold that no dynamic oracle checks until a fuzz
+campaign happens to reach the broken configuration:
 
 * the struct-of-arrays adapters (:mod:`repro.dram.soa`,
   :mod:`repro.fabric.soa`) must mirror **every** mutable field of the
   components they capture/refresh/restore, and fold them into the
-  ``soa_digest`` fingerprint the interleaving tests compare;
+  ``soa_digest`` fingerprint the cross-engine state tests compare;
 * the observer layers (:mod:`repro.check.sanitizer`,
   :mod:`repro.telemetry.sampler`, :mod:`repro.conformance.reference`)
-  must never write simulation state;
-* every externally callable enqueue into a due-plane-tracked structure
-  must re-arm the vector tier's waker hooks, or an event horizon sleeps
-  through the arrival.
+  must never write simulation state.
 
-This module proves all three statically, over AST copies of the real
+This module proves both statically, over AST copies of the real
 sources (``repro-hbm check --state``; wired into run pre-validation):
 
 **SC001 — uncovered-state-field.**  The field inventory infers each
 component's mutable-state set: attributes assigned or container-mutated
 on ``self`` outside ``__init__``, plus attributes other modules write
-onto component instances (fault injector, engine drain, waker wiring).
+onto component instances (fault injector, engine drain, watchdog
+wiring).
 A field is *sim-state* unless every mutating line carries the
 ``# statecheck: derived`` pragma (recomputed state, e.g.
 ``MasterPort.exhausted``) or the field has an :data:`ALLOWLIST` entry
@@ -48,17 +46,10 @@ allowlisted in :data:`PURITY_ALLOW`.  Calls the analysis cannot resolve
 (first-class probe lambdas) are assumed pure — the documented limit of
 the proof.
 
-**SC004 — unwoken-mutation.**  Each :data:`WAKER_RULES` entry pins an
-enqueue path (``Fifo.append``, ``MemoryController.try_accept``, the MAO
-read-slot release) to a lexical waker invocation in the same method,
-and a whole-program bypass scan flags direct mutations of the
-due-tracked structures (``Fifo.items``, ``pending_in``,
-``MemoryController.queues``, ``_reads_in_flight``) from anywhere else.
-
 The analyses run on a ``{module: source}`` mapping so the seeded
 mutation self-tests (``tests/test_check_statecheck.py``) can inject a
-synthetic field, a hidden observer write, or a waker-less push into
-copies of the real sources and assert the right SC00x fires.
+synthetic field or a hidden observer write into copies of the real
+sources and assert the right SC00x fires.
 """
 
 from __future__ import annotations
@@ -78,11 +69,9 @@ __all__ = [
     "OBSERVERS",
     "PURITY_ALLOW",
     "StateStats",
-    "WAKER_RULES",
     "check_observer_purity",
     "check_state",
     "check_state_coverage",
-    "check_waker_audit",
     "component_inventory",
     "render_state_report",
     "state_stats",
@@ -111,7 +100,7 @@ _SCALAR_BUILTINS = frozenset({
 })
 
 #: Modules whose attribute writes are the capture/restore mechanism
-#: itself and therefore never count as state mutation or waker bypass.
+#: itself and therefore never count as state mutation.
 _ADAPTER_MODULES = frozenset({"repro.dram.soa", "repro.fabric.soa"})
 
 
@@ -155,13 +144,9 @@ ALLOWLIST: Dict[Tuple[str, str], str] = {
     ("Fifo", "items"):
         "occupancy is a live due signal (pending_in / fifo lengths); the "
         "flit queue itself is scalar-only between event horizons",
-    ("Fifo", "waker"):
-        "vector-tier wiring, installed/detached around each run",
     ("ArbOutput", "in_flight"):
         "fingerprinted via the inflight_len/inflight_head projections; "
         "the deque itself stays scalar",
-    ("ArbOutput", "waker"):
-        "vector-tier wiring, installed/detached around each run",
     ("SharedBus", "busy_until"):
         "lateral bus meter: shared-bus stalls keep an every-cycle due, "
         "so the scalar is always fresh when captured",
@@ -173,9 +158,8 @@ ALLOWLIST: Dict[Tuple[str, str], str] = {
     ("MemoryController", "_seq"):
         "heap tiebreaker, strictly derived from accept order",
     ("MemoryController", "degrade_offline"):
-        "fault plane: fault events force a vector-tier resync",
-    ("MemoryController", "waker"):
-        "vector-tier wiring, installed/detached around each run",
+        "fault plane: set only by fault events, to which every loop "
+        "clamps its jumps",
     ("MasterPort", "_staged"):
         "fingerprinted via the staged projection; the staged txn object "
         "is re-submitted scalar-side",
@@ -188,7 +172,8 @@ ALLOWLIST: Dict[Tuple[str, str], str] = {
     ("MasterPort", "on_issue"):
         "observer/watchdog wiring, not simulation state",
     ("PseudoChannel", "fault"):
-        "fault plane: fault events force a vector-tier resync",
+        "fault plane: set only by fault events, to which every loop "
+        "clamps its jumps",
     ("PseudoChannel", "banks"):
         "rebound only by sanitizer attach (CheckedBankSet proxy); the "
         "bank state behind it is captured field by field",
@@ -226,40 +211,6 @@ PURITY_ALLOW: Dict[Tuple[str, str, str], str] = {
         "checked pass-through: the proxy performs the engine's own bank "
         "access on its behalf, then validates the resulting row state",
 }
-
-
-@dataclass(frozen=True)
-class WakerRule:
-    """An enqueue method that must lexically invoke its waker."""
-
-    module: str
-    cls: str
-    method: str
-    waker: str
-
-
-WAKER_RULES: Tuple[WakerRule, ...] = (
-    WakerRule("repro.fabric.links", "Fifo", "append", "waker"),
-    WakerRule("repro.dram.controller", "MemoryController", "try_accept",
-              "waker"),
-    WakerRule("repro.fabric.mao_fabric", "MaoFabric", "_on_read_data",
-              "read_slot_waker"),
-    WakerRule("repro.fabric.mao_fabric", "MaoFabric", "_on_nack",
-              "read_slot_waker"),
-)
-
-#: Due-plane-tracked structures and the classes allowed to mutate them.
-_DUE_STRUCTURES: Dict[str, FrozenSet[Tuple[str, str]]] = {
-    "items": frozenset({("repro.fabric.links", "Fifo")}),
-    "pending_in": frozenset({("repro.fabric.links", "Fifo"),
-                             ("repro.fabric.links", "ArbOutput")}),
-    "queues": frozenset({("repro.dram.controller", "MemoryController")}),
-    "_reads_in_flight": frozenset({("repro.fabric.mao_fabric",
-                                    "MaoFabric")}),
-}
-
-#: Mutators that ADD work to a structure (dequeues need no wake).
-_ENQUEUE_NAMES = frozenset({"append", "appendleft", "extend", "insert"})
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +297,7 @@ def _index(sources: Mapping[str, str],
 
 
 # ---------------------------------------------------------------------------
-# helpers shared by the field / waker analyses
+# helpers of the field analysis
 # ---------------------------------------------------------------------------
 
 def _self_root_field(node: ast.expr) -> Optional[str]:
@@ -387,9 +338,7 @@ def _assign_targets(node: ast.stmt) -> List[ast.expr]:
     return []
 
 
-def _local_field_aliases(func: ast.FunctionDef,
-                         fields: Optional[Set[str]] = None,
-                         ) -> Dict[str, str]:
+def _local_field_aliases(func: ast.FunctionDef) -> Dict[str, str]:
     """Locals bound from an *item* of a ``self`` container field
     (``q = self.queues[li]``): one-level alias resolution for
     container-mutation attribution.  Plain ``x = self.f`` aliases are
@@ -403,7 +352,7 @@ def _local_field_aliases(func: ast.FunctionDef,
                 and isinstance(node.value, ast.Subscript)):
             continue
         root = _self_root_field(node.value)
-        if root is not None and (fields is None or root in fields):
+        if root is not None:
             aliases[node.targets[0].id] = root
     return aliases
 
@@ -498,7 +447,7 @@ def _class_mutations(info: _ModuleInfo, cls: ast.ClassDef,
 def _external_writes(index: Mapping[str, _ModuleInfo],
                      ) -> Dict[str, List[Tuple[str, int]]]:
     """Attribute stores on non-``self`` bases, across the whole tree
-    (engine drain flags, waker wiring, fault injection)."""
+    (engine drain flags, watchdog wiring, fault injection)."""
     writes: Dict[str, List[Tuple[str, int]]] = {}
     for name, info in sorted(index.items()):
         if name in _ADAPTER_MODULES:
@@ -707,7 +656,7 @@ def check_state_coverage(
             findings.append(Finding(
                 "error", "SC001",
                 f"sim-state field {spec.cls}.{fname} is mutated but not "
-                f"captured by {adapter}: the vector tier will drift "
+                f"captured by {adapter}: the SoA state image will drift "
                 f"silently; cover it, mark every mutation "
                 f"'# {DERIVED_PRAGMA}', or allowlist it with a reason",
                 f"{_module_path(where[0], sources)}:{where[1]}"))
@@ -1102,92 +1051,6 @@ def check_observer_purity(sources: Optional[Mapping[str, str]] = None,
 
 
 # ---------------------------------------------------------------------------
-# SC004 — waker re-arm audit
-# ---------------------------------------------------------------------------
-
-def check_waker_audit(sources: Optional[Mapping[str, str]] = None,
-                      ) -> List[Finding]:
-    """SC004: every due-plane enqueue is paired with a waker."""
-    if sources is None:
-        sources = load_sources()
-    index, findings = _index(sources)
-
-    for rule in WAKER_RULES:
-        info = index.get(rule.module)
-        node = (info.methods.get((rule.cls, rule.method))
-                if info is not None else None)
-        loc = _module_path(rule.module, sources)
-        if node is None:
-            findings.append(Finding(
-                "error", "SC004",
-                f"waker rule target {rule.cls}.{rule.method} not found in "
-                f"{rule.module}; the WAKER_RULES table is stale", loc))
-            continue
-        wakes = any(isinstance(n, ast.Call) and dotted(n.func)[-1:]
-                    == (rule.waker,) for n in ast.walk(node))
-        if not wakes:
-            findings.append(Finding(
-                "error", "SC004",
-                f"due-plane enqueue {rule.cls}.{rule.method} never invokes "
-                f"{rule.waker}: the vector tier's event horizon can sleep "
-                f"through the arrival", f"{loc}:{node.lineno}"))
-
-    # Bypass scan: direct mutation of a due-tracked structure anywhere
-    # outside the class that owns it.
-    for mod_name, info in sorted(index.items()):
-        if mod_name in _ADAPTER_MODULES:
-            continue
-        for cls_name, method in _walk_functions(info.tree):
-            context = (mod_name, cls_name or "")
-            aliases = _local_field_aliases(method,
-                                           set(_DUE_STRUCTURES))
-            for node in ast.walk(method):
-                hit: Optional[Tuple[str, int]] = None
-                if isinstance(node, ast.Call):
-                    chain = dotted(node.func)
-                    if len(chain) >= 2 and chain[-1] in _ENQUEUE_NAMES:
-                        owner = chain[-2]
-                        if owner in aliases:
-                            owner = aliases[owner]
-                        if owner in _DUE_STRUCTURES:
-                            hit = (owner, node.lineno)
-                elif isinstance(node, (ast.Assign, ast.AugAssign,
-                                       ast.AnnAssign)):
-                    for target in _assign_targets(node):
-                        got = _target_field(target)
-                        if got is not None and got[0] in _DUE_STRUCTURES:
-                            hit = (got[0], node.lineno)
-                if hit is None:
-                    continue
-                structure, line = hit
-                sanctioned = _DUE_STRUCTURES[structure]
-                if (mod_name, cls_name or "") not in sanctioned \
-                        and context not in sanctioned:
-                    owner_cls = ", ".join(sorted(c for _, c in sanctioned))
-                    findings.append(Finding(
-                        "error", "SC004",
-                        f"direct mutation of due-tracked '{structure}' in "
-                        f"{cls_name + '.' if cls_name else ''}{method.name} "
-                        f"bypasses the waker protocol (only {owner_cls} "
-                        f"may touch it)",
-                        f"{_module_path(mod_name, sources)}:{line}"))
-    return findings
-
-
-def _walk_functions(tree: ast.Module,
-                    ) -> List[Tuple[Optional[str], ast.FunctionDef]]:
-    """(class name or None, function) pairs, one level of nesting."""
-    out: List[Tuple[Optional[str], ast.FunctionDef]] = []
-    for node in tree.body:
-        if isinstance(node, ast.FunctionDef):
-            out.append((None, node))
-        elif isinstance(node, ast.ClassDef):
-            out.extend((node.name, sub) for sub in node.body
-                       if isinstance(sub, ast.FunctionDef))
-    return out
-
-
-# ---------------------------------------------------------------------------
 # combined front end
 # ---------------------------------------------------------------------------
 
@@ -1202,7 +1065,6 @@ class StateStats:
     allowlisted_fields: int = 0
     derived_fields: int = 0
     observer_entries: int = 0
-    waker_rules: int = 0
 
 
 def state_stats(sources: Optional[Mapping[str, str]] = None) -> StateStats:
@@ -1214,7 +1076,6 @@ def state_stats(sources: Optional[Mapping[str, str]] = None) -> StateStats:
         modules=len(sources),
         components=len(COMPONENTS),
         observer_entries=sum(len(s.entries) for s in OBSERVERS),
-        waker_rules=len(WAKER_RULES),
     )
     for spec in COMPONENTS:
         mutated = inventory.get(spec.cls, {})
@@ -1231,12 +1092,10 @@ def state_stats(sources: Optional[Mapping[str, str]] = None) -> StateStats:
 
 def check_state(sources: Optional[Mapping[str, str]] = None,
                 ) -> List[Finding]:
-    """All three analyses over one source tree (default: ``src/repro``)."""
+    """Both analyses over one source tree (default: ``src/repro``)."""
     if sources is None:
         sources = load_sources()
-    return (check_state_coverage(sources)
-            + check_observer_purity(sources)
-            + check_waker_audit(sources))
+    return check_state_coverage(sources) + check_observer_purity(sources)
 
 
 def render_state_report(findings: Sequence[Finding],
@@ -1252,8 +1111,6 @@ def render_state_report(findings: Sequence[Finding],
         f"{stats.derived_fields} derived)",
         f"  observer purity: {stats.observer_entries} entry points traced "
         f"interprocedurally",
-        f"  waker audit: {stats.waker_rules} re-arm rules + whole-tree "
-        f"bypass scan",
     ]
     if findings:
         lines.append(render(findings))

@@ -1,14 +1,14 @@
 """The conformance fuzz driver: sample → run → oracle → shrink.
 
-For every sampled configuration the driver runs the *real* engine three
-times — fast path, vector struct-of-arrays tier, and legacy per-cycle
-loop, all with the runtime sanitizer armed and both watchdogs set —
-drains, and then applies three stacked oracles:
+For every sampled configuration the driver runs the *real* engine twice
+— fast path and legacy per-cycle loop, both with the runtime sanitizer
+armed and both watchdogs set — drains, and then applies three stacked
+oracles:
 
 1. the sanitizer (AXI ordering, conservation ledgers, credit leaks,
    DRAM bank legality) raising typed :class:`SanitizerError`\\ s,
-2. a bit-exactness diff of each optimized loop's report and post-drain
-   counters against the legacy oracle,
+2. a bit-exactness diff between the two loops' reports and post-drain
+   counters,
 3. the analytical reference model (:mod:`repro.conformance.reference`).
 
 A failing case is auto-minimized by greedy dimension shrinking (walk
@@ -118,22 +118,18 @@ def _totals(engine: Engine) -> Tuple[int, int, int, int, int]:
             sum(mp.unrecoverable for mp in mps))
 
 
-def _diff_outcomes(probe: Outcome, oracle: Outcome, probe_name: str,
-                   oracle_name: str = "legacy") -> List[str]:
-    """Bit-exactness diff of one optimized loop against the oracle."""
+def _diff_outcomes(fast: Outcome, legacy: Outcome) -> List[str]:
+    """Bit-exactness diff between the two engine loops."""
     diffs: List[str] = []
-    if probe.abort != oracle.abort:
-        diffs.append(
-            f"abort differs: {probe_name}={probe.abort or 'completed'!r} "
-            f"{oracle_name}={oracle.abort or 'completed'!r}")
+    if fast.abort != legacy.abort:
+        diffs.append(f"abort differs: fast={fast.abort or 'completed'!r} "
+                     f"legacy={legacy.abort or 'completed'!r}")
         return diffs
-    if probe.totals != oracle.totals:
-        diffs.append(
-            f"post-drain counters differ: {probe_name}={probe.totals} "
-            f"{oracle_name}={oracle.totals}")
-    if probe.report != oracle.report:
-        diffs.append(f"SimReport differs between {probe_name} and "
-                     f"{oracle_name} loops")
+    if fast.totals != legacy.totals:
+        diffs.append(f"post-drain counters differ: fast={fast.totals} "
+                     f"legacy={legacy.totals}")
+    if fast.report != legacy.report:
+        diffs.append("SimReport differs between fast and legacy loops")
     return diffs
 
 
@@ -149,7 +145,6 @@ def run_case(case: FuzzCase) -> CaseResult:
     failures: List[Failure] = []
     try:
         fast = _one_loop(case, "fast")
-        vector = _one_loop(case, "vector")
         legacy = _one_loop(case, "legacy")
     except SanitizerError as exc:
         return CaseResult(case=case, failures=(
@@ -161,9 +156,7 @@ def run_case(case: FuzzCase) -> CaseResult:
         return CaseResult(case=case, failures=(
             Failure("error", f"{type(exc).__name__}: {exc}"),))
 
-    for diff in _diff_outcomes(fast, legacy, "fast"):
-        failures.append(Failure("engine-diff", diff))
-    for diff in _diff_outcomes(vector, legacy, "vector"):
+    for diff in _diff_outcomes(fast, legacy):
         failures.append(Failure("engine-diff", diff))
     for violation in check(case, pred, fast):
         failures.append(Failure("prediction", violation))
@@ -353,8 +346,7 @@ class CampaignReport:
             lines.append(f"  corpus entry written: {path}")
         if self.ok:
             lines.append("  all reference-model predictions satisfied; "
-                         "fast/vector/legacy loops bit-identical on every "
-                         "config")
+                         "fast/legacy loops bit-identical on every config")
         return "\n".join(lines)
 
 

@@ -124,10 +124,6 @@ class MemoryController:
         #: accepted the cycle after some pop freed space.
         self.last_pop = -1
         self._local_index = {p.index: i for i, p in enumerate(pchs)}
-        #: Optional acceptance hook (vector engine): called once per
-        #: transaction queued by :meth:`try_accept`, so a due-time cache
-        #: can re-arm a controller it believed idle.
-        self.waker: Optional[Callable[["MemoryController"], None]] = None
 
     # -- fabric-facing -------------------------------------------------------
 
@@ -158,8 +154,6 @@ class MemoryController:
         txn.accept_cycle = cycle
         q.append(txn)
         self.accepts += 1
-        if self.waker is not None:
-            self.waker(self)
         if txn.is_write:
             # Posted write: B response on acceptance into the queue.
             self.on_write_accept(txn, float(cycle))

@@ -1,28 +1,26 @@
 """Struct-of-arrays (SoA) views of per-pseudo-channel DRAM state.
 
-The vector engine tier (:mod:`repro.sim.vector`) keeps its due-time
-bookkeeping in numpy arrays indexed by pseudo-channel; this module holds
-the adapters that move the *model's* scalar per-PCH state in and out of
-that layout.  :class:`DramStateSoA` captures every mutable field of the
-32 :class:`~repro.dram.pch.PseudoChannel` objects (bus meters, bank page
+This module holds the adapters that move the *model's* scalar per-PCH
+state in and out of a numpy layout indexed by pseudo-channel.
+:class:`DramStateSoA` captures every mutable field of the 32
+:class:`~repro.dram.pch.PseudoChannel` objects (bus meters, bank page
 tables, refresh clocks, diagnostic counters) into one array per field —
 ``bus_free`` becomes a ``float64[num_pch]`` vector, ``open_row`` a
 ``int64[num_pch, banks]`` matrix, and so on.
 
 Two uses:
 
-* the vectorized/scalar interleaving property tests drive the same
-  workload through both steppers and compare :meth:`DramStateSoA.digest`
+* the cross-engine property tests drive the same workload through the
+  fast and legacy loops and compare :meth:`DramStateSoA.digest`
   fingerprints — a single hash over the full SoA image — to prove the
-  vector tier leaves *model* state (not just reports) bit-identical;
+  fast tier leaves *model* state (not just reports) bit-identical;
 * ``capture`` -> ``restore`` round-trips are the save/load primitive the
   hypothesis suite exercises for exactness (floats pass through
   untouched; ``None`` sentinels survive the integer encoding).
 
 The adapters are deliberately one-shot (capture/restore), not live
 mirrors: per-PCH *service* is order-sensitive (FR-FCFS picks, same-ID
-ordering) and must stay scalar, so the arrays are only authoritative
-between event horizons — see DESIGN.md section 12.
+ordering) and stays scalar in the model itself.
 """
 
 from __future__ import annotations

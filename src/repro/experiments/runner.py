@@ -280,8 +280,8 @@ def _cmd_run(keys: List[str], cycles: Optional[int]) -> str:
     errors = [f for key in keys
               for f in static_mod.check_experiment(key, cycles)
               if f.severity == "error"]
-    # The state analyzer gates too: an uncovered sim-state field or a
-    # waker bypass means the engine tiers can silently diverge, which
+    # The state analyzer gates too: an uncovered sim-state field or an
+    # impure observer means the engine tiers can silently diverge, which
     # would poison every number the run produces.
     errors.extend(f for f in state_mod.check_state()
                   if f.severity == "error")
@@ -310,15 +310,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     sim_opts = argparse.ArgumentParser(add_help=False)
     sim_opts.add_argument("--no-cache", action="store_true",
                           help="disable the sweep-point result cache")
-    sim_opts.add_argument("--legacy-engine", action="store_true",
-                          help="use the reference cycle loop instead of the "
-                               "fast path (bit-identical results, slower)")
     sim_opts.add_argument("--engine", choices=list(ENGINE_TIERS),
                           default=None,
                           help="main-loop tier for every simulation: fast "
-                               "(default), legacy (reference per-cycle "
-                               "loop), or vector (struct-of-arrays tier); "
-                               "all bit-identical")
+                               "(default) or legacy (reference per-cycle "
+                               "loop; bit-identical results, slower)")
     sim_opts.add_argument("--sanitize", action="store_true",
                           help="attach the runtime invariant sanitizer to "
                                "every simulation (bit-identical results, "
@@ -404,8 +400,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_check.add_argument("--lint", action="store_true",
                          help="run the determinism lint over the sources")
     p_check.add_argument("--state", action="store_true",
-                         help="run the state-coverage / observer-purity / "
-                              "waker-audit analyzer over the sources "
+                         help="run the state-coverage / observer-purity "
+                              "analyzer over the sources "
                               "(also included in --all)")
     p_check.add_argument("--json", action="store_true",
                          help="emit findings as JSON instead of text")
@@ -511,13 +507,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "no_cache", False):
         os.environ["REPRO_SIM_CACHE"] = "0"
-    if getattr(args, "legacy_engine", False):
-        os.environ["REPRO_FAST_PATH"] = "0"
     if getattr(args, "engine", None):
-        if getattr(args, "legacy_engine", False) \
-                and args.engine != "legacy":
-            parser.error("--legacy-engine conflicts with "
-                         f"--engine {args.engine}")
         os.environ["REPRO_ENGINE"] = args.engine
     if getattr(args, "sanitize", False):
         os.environ["REPRO_SANITIZE"] = "1"

@@ -29,7 +29,7 @@ abstractions (see the optimizing-code guide).
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, List, Optional, Sequence, Tuple
+from typing import Deque, List, Optional, Sequence, Tuple
 
 from ..axi.transaction import AxiTransaction
 from ..errors import SimulationError
@@ -96,7 +96,7 @@ class SharedBus:
 class Fifo:
     """A bounded FIFO of flits."""
 
-    __slots__ = ("items", "capacity", "name", "waker")
+    __slots__ = ("items", "capacity", "name")
 
     def __init__(self, capacity: int, name: str = "") -> None:
         if capacity < 1:
@@ -104,10 +104,6 @@ class Fifo:
         self.items: Deque[Flit] = deque()
         self.capacity = capacity
         self.name = name
-        #: Optional arrival hook (vector engine): called once per append.
-        #: Only terminal FIFOs (MC landing / completion queues, whose
-        #: arrivals bump no downstream ``pending_in``) get one.
-        self.waker: Optional[Callable[[], None]] = None
 
     def __len__(self) -> int:
         return len(self.items)
@@ -127,14 +123,7 @@ class Fifo:
         # Book the flit with the output that must grant it next, so idle
         # outputs can skip their arbitration scan entirely.
         if flit.hop < len(flit.route):
-            nxt = flit.route[flit.hop]
-            nxt.pending_in += 1
-            # 0 -> 1 transition: a sleeping output just gained work; the
-            # vector engine re-arms its due time through this hook.
-            if nxt.pending_in == 1 and nxt.waker is not None:
-                nxt.waker(nxt)
-        elif self.waker is not None:
-            self.waker()
+            flit.route[flit.hop].pending_in += 1
 
     def popleft(self) -> Flit:
         return self.items.popleft()
@@ -166,7 +155,7 @@ class ArbOutput:
     __slots__ = ("name", "inputs", "dest", "latency", "rate", "dead_cycles",
                  "busy_until", "last_input", "reserved", "in_flight",
                  "granted_flits", "busy_weight", "shared", "pending_in",
-                 "grant_stalls", "waker")
+                 "grant_stalls")
 
     def __init__(
         self,
@@ -206,8 +195,6 @@ class ArbOutput:
         #: destination FIFO was full, or head-of-line blocking hid every
         #: eligible head.  Transmission cycles are occupancy, not stalls.
         self.grant_stalls: int = 0
-        #: Optional 0 -> 1 ``pending_in`` hook (see :meth:`Fifo.append`).
-        self.waker: Optional[Callable[["ArbOutput"], None]] = None
 
     # -- simulation ----------------------------------------------------------
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Callable, Deque, List, Optional
+from typing import Deque, List, Optional
 
 from ..axi.transaction import AxiTransaction
 from ..core.address_map import AddressMap, ContiguousMap, InterleavedMap
@@ -110,11 +110,6 @@ class MaoFabric(BaseFabric):
         #: the lane never has two reads in the DRAM at once.
         self._lane_users = [[0] * self.config.reorder_depth
                             for _ in range(platform.num_masters)]
-        #: Optional hook (vector engine): called with the master index
-        #: whenever one of its in-flight reads leaves the DRAM (data or
-        #: NACK), i.e. whenever a refused-at-lane-saturation submit could
-        #: start succeeding again.
-        self.read_slot_waker: Optional[Callable[[int], None]] = None
 
     # -- engine interface --------------------------------------------------------
 
@@ -237,8 +232,6 @@ class MaoFabric(BaseFabric):
             self._reads_in_flight[m] -= 1
             self._lane_users[m][txn.axi_id] -= 1
             self.reorder[m].release_time(txn.axi_id, time + 1.0)
-            if self.read_slot_waker is not None:
-                self.read_slot_waker(m)
         super()._on_nack(txn, time)
 
     # -- controller callbacks ------------------------------------------------------
@@ -247,8 +240,6 @@ class MaoFabric(BaseFabric):
         m = txn.master
         self._reads_in_flight[m] -= 1
         self._lane_users[m][txn.axi_id] -= 1
-        if self.read_slot_waker is not None:
-            self.read_slot_waker(m)
         ready = time + self.one_way_latency
         # Pace the master's response port at the accelerator clock.
         free = self._egress_free[m]

@@ -1,7 +1,7 @@
 """Struct-of-arrays views of interconnect and master-port state.
 
-Companion of :mod:`repro.dram.soa` for the other two state planes the
-vector engine tier tracks in arrays:
+Companion of :mod:`repro.dram.soa` for the other state planes of the
+model:
 
 * :class:`ArbStateSoA` — the arbitration plane: one entry per
   :class:`~repro.fabric.links.ArbOutput` (bus meters, round-robin
@@ -19,8 +19,7 @@ from a scalar, so :meth:`restore` writes back only the scalar fields and
 leaves projections untouched.  ``capture`` -> ``restore`` -> ``capture``
 is exact on an unchanged model, which is what the hypothesis round-trip
 suite pins down; :func:`~repro.dram.soa.soa_digest` over the full image
-(projections included) is what the scalar/vector interleaving tests
-compare.
+(projections included) is what the cross-engine state tests compare.
 """
 
 from __future__ import annotations

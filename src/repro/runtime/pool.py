@@ -333,7 +333,18 @@ class SupervisedPool:
                     if on_dispatch is not None and i not in dispatched:
                         dispatched.add(i)
                         on_dispatch(i)
-                    future = pool.submit(fn, items[i])
+                    try:
+                        future = pool.submit(fn, items[i])
+                    except BrokenProcessPool:
+                        # A worker died after the last wait(): this item
+                        # never ran, so it is requeued uncharged, while
+                        # the tasks in flight are suspects as usual.
+                        queue.appendleft(i)
+                        suspects = sorted(inflight.values())
+                        for j in suspects:
+                            fail_kind.setdefault(j, "crash")
+                        recover_lost(suspects)
+                        continue
                     inflight[future] = i
                     if self.task_timeout is not None:
                         deadlines[future] = (

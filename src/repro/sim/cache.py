@@ -19,9 +19,10 @@ Keys come from :func:`sweep_key`, which folds in
 * a model version (bump :data:`MODEL_VERSION` whenever a change alters
   simulation *results*, so stale disk entries are never returned),
 * a digest of the platform's full ``repr`` (every timing/topology knob),
-* the engine path in effect (``fast_path`` — reports are bit-identical
-  either way by construction, but keeping the key exact makes the cache
-  trivially sound even while that property is being debugged),
+* the engine tier in effect (``REPRO_ENGINE`` — reports are
+  bit-identical on every tier by construction, but keeping the key exact
+  makes the cache trivially sound even while that property is being
+  debugged),
 * the caller's parameters, ``repr``-normalized.
 
 ``REPRO_SIM_CACHE=0`` disables all caching without touching call sites.
@@ -38,8 +39,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Any, Dict, List, NoReturn, Optional, Set, Tuple
 
-from .config import (_engine_default, _fast_path_default, _sanitize_default,
-                     _telemetry_default)
+from .config import _engine_default, _sanitize_default, _telemetry_default
 
 #: Bump when a model change alters simulation outputs.
 MODEL_VERSION = 2
@@ -91,7 +91,6 @@ def sweep_key(experiment: str, platform: Any, **params: Any) -> Tuple:
     # trivially sound even while that property is being debugged.
     return (MODEL_VERSION, experiment, platform_digest(platform),
             ("engine", _engine_default()),
-            ("fast_path", _fast_path_default()),
             ("sanitize", _sanitize_default()),
             ("telemetry", _telemetry_default()), items)
 

@@ -9,12 +9,6 @@ from typing import Any, Dict, Mapping, Optional
 from ..errors import ConfigError
 
 
-def _fast_path_default() -> bool:
-    """Fast path is on unless ``REPRO_FAST_PATH`` disables it globally."""
-    return os.environ.get("REPRO_FAST_PATH", "1").lower() not in (
-        "0", "false", "no", "off")
-
-
 def _sanitize_default() -> bool:
     """Sanitizer is off unless ``REPRO_SANITIZE`` enables it globally."""
     return os.environ.get("REPRO_SANITIZE", "0").lower() in (
@@ -28,13 +22,12 @@ def _telemetry_default() -> bool:
 
 
 #: Engine tiers selectable via :attr:`SimConfig.engine` / ``--engine``.
-ENGINE_TIERS = ("fast", "legacy", "vector")
+ENGINE_TIERS = ("fast", "legacy")
 
 
 def _engine_default() -> str:
-    """Engine tier from ``REPRO_ENGINE``, or ``""`` (derive from
-    ``fast_path`` in ``__post_init__``)."""
-    return os.environ.get("REPRO_ENGINE", "")
+    """Engine tier from ``REPRO_ENGINE``, or ``"fast"``."""
+    return os.environ.get("REPRO_ENGINE", "fast")
 
 
 @dataclass(frozen=True)
@@ -57,24 +50,15 @@ class SimConfig:
     """Outstanding-transaction credit per master (``Not``).  The paper's
     *Single* latency scenario uses 1, the *Burst* scenario 32."""
 
-    fast_path: bool = field(default_factory=_fast_path_default)
-    """Use the batched/quiescence-skipping engine loop.  The fast path is
-    an *optimization, never a model change*: it must produce bit-identical
-    :class:`~repro.sim.stats.SimReport` results (enforced by the
-    differential tests in ``tests/test_engine_fastpath.py``).  Set to
-    ``False`` — or export ``REPRO_FAST_PATH=0`` — to fall back to the
-    legacy strictly per-cycle loop when debugging."""
-
     engine: str = field(default_factory=_engine_default)
     """Which main-loop tier drives the run: ``"fast"`` (the default
-    batched/quiescence-skipping loop), ``"legacy"`` (the reference
-    strictly per-cycle loop), or ``"vector"`` (the numpy
-    struct-of-arrays tier, :mod:`repro.sim.vector`).  All three are
-    bit-identical (enforced by the three-way differential grid in
-    ``tests/test_engine_fastpath.py``).  An empty string — the default
-    when ``REPRO_ENGINE`` is unset — derives the tier from
-    :attr:`fast_path`; when both are given explicitly, ``engine`` wins
-    and ``fast_path`` is normalized to match."""
+    batched/quiescence-skipping loop) or ``"legacy"`` (the reference
+    strictly per-cycle loop).  The fast tier is an *optimization, never
+    a model change*: both produce bit-identical
+    :class:`~repro.sim.stats.SimReport` results (enforced by the
+    differential tests in ``tests/test_engine_fastpath.py``).  Select
+    ``"legacy"`` here, via the CLI's ``--engine legacy``, or globally
+    with ``REPRO_ENGINE=legacy`` when debugging."""
 
     sanitize: bool = field(default_factory=_sanitize_default)
     """Attach the runtime invariant sanitizer
@@ -123,15 +107,9 @@ class SimConfig:
     """Upper bound of the exponential retry backoff."""
 
     def __post_init__(self) -> None:
-        if not self.engine:
-            object.__setattr__(
-                self, "engine", "fast" if self.fast_path else "legacy")
         if self.engine not in ENGINE_TIERS:
             raise ConfigError(
                 f"engine must be one of {ENGINE_TIERS}, got {self.engine!r}")
-        # ``engine`` is authoritative; ``fast_path`` stays as the derived
-        # boolean view older call sites (and drain()) key off.
-        object.__setattr__(self, "fast_path", self.engine != "legacy")
         if self.cycles <= 0:
             raise ConfigError("cycles must be positive")
         if not 0 <= self.warmup < self.cycles:
@@ -170,7 +148,7 @@ class SimConfig:
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-safe dict of every field, *including* the env-defaulted
-        toggles (``fast_path``/``sanitize``/``telemetry``) — a dumped
+        toggles (``engine``/``sanitize``/``telemetry``) — a dumped
         config replays the run it described, not whatever the loading
         process's environment happens to say.  Round-trips bit-exactly
         through :meth:`from_dict` (hypothesis-tested; the fuzz corpus

@@ -12,25 +12,24 @@ The engine also enforces the conservation invariant — every issued
 transaction is either completed or demonstrably buffered somewhere — which
 guards against simulator bugs silently inflating throughput.
 
-Interchangeable main loops drive the model:
+Two interchangeable main loops (engine tiers) drive the model:
 
 * the **legacy loop** (``engine="legacy"``) steps every master and the
   fabric once per cycle — the reference semantics;
-* the **fast path** (default) skips masters that provably cannot issue
-  this cycle (credits exhausted / pacing meter pending) and, when every
-  master is asleep, asks the fabric for its *event horizon*
-  (:meth:`~repro.fabric.base.BaseFabric.next_event`) and jumps the clock
-  forward over provably empty cycles.  The horizon carries the two
-  starvation proofs — queues of an offline channel are parked, and
-  staged arrivals refused for full queues wait for a scheduler pop — so
-  a saturated channel that goes dead is jumped, not stepped;
-* the **vector tier** (``engine="vector"``, :mod:`repro.sim.vector`)
-  adds per-component due times on the segmented fabric.
+* the **fast path** (``engine="fast"``, the default) skips masters that
+  provably cannot issue this cycle (credits exhausted / pacing meter
+  pending) and, when every master is asleep, asks the fabric for its
+  *event horizon* (:meth:`~repro.fabric.base.BaseFabric.next_event`) and
+  jumps the clock forward over provably empty cycles.  The horizon
+  carries the two starvation proofs — queues of an offline channel are
+  parked, and staged arrivals refused for full queues wait for a
+  scheduler pop — so a saturated channel that goes dead is jumped, not
+  stepped.
 
-The optimized loops are optimizations, never model changes: skipped work
-is exactly the work the legacy loop would have executed as a no-op, so
-every loop produces bit-identical :class:`SimReport` results (enforced by
-the differential tests in ``tests/test_engine_fastpath.py``).
+The fast path is an optimization, never a model change: skipped work is
+exactly the work the legacy loop would have executed as a no-op, so both
+loops produce bit-identical :class:`SimReport` results (enforced by the
+differential tests in ``tests/test_engine_fastpath.py``).
 """
 
 from __future__ import annotations
@@ -132,11 +131,7 @@ class Engine:
     # -- main loop -----------------------------------------------------------
 
     def run(self) -> SimReport:
-        engine = self.config.engine
-        if engine == "vector":
-            from .vector import run_vector
-            run_vector(self)
-        elif self.config.fast_path:
+        if self.config.engine == "fast":
             self._run_fast()
         else:
             self._run_legacy()
@@ -357,7 +352,7 @@ class Engine:
         by_index = {mp.index: mp for mp in masters}
         for mp in masters:
             mp.draining = True
-        fast = self.config.fast_path
+        fast = self.config.engine == "fast"
         dog = self._txn_dog
         san = self.sanitizer
         start = self.cycle + 1

@@ -60,7 +60,7 @@ def build_manifest(
             "fabric_clock_hz": platform.fabric_clock_hz,
             "accel_clock_hz": platform.accel_clock_hz,
         },
-        "engine_path": "fast" if cfg.fast_path else "legacy",
+        "engine_path": cfg.engine,
         "cycles": cfg.cycles,
         "warmup": cfg.warmup,
         "outstanding": cfg.outstanding,

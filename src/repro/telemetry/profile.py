@@ -179,7 +179,7 @@ def format_summary(
     analysis: BottleneckAnalysis,
 ) -> str:
     """Deterministic profile summary (golden-file tested)."""
-    path = "fast path" if cfg.fast_path else "legacy loop"
+    path = "fast path" if cfg.engine == "fast" else "legacy loop"
     lines = [
         f"profile: {key} — {point.describe()}, {cfg.cycles} cycles ({path})",
     ]

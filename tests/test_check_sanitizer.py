@@ -22,6 +22,7 @@ from repro.errors import (BankStateViolation, ConservationViolation,
                           CreditLeak, OrderingViolation, SanitizerError)
 from repro.fabric import IdealFabric, MaoFabric
 from repro.sim import Engine, SimConfig
+from repro.sim.config import ENGINE_TIERS
 from repro.traffic import make_pattern_sources
 from repro.types import Pattern, READ_ONLY, TWO_TO_ONE
 
@@ -40,7 +41,7 @@ def _engine(small_platform, fabric, *, pattern=Pattern.CCS, rw=READ_ONLY,
 
 # -- differential: clean runs stay clean and bit-identical -------------------
 
-@pytest.mark.parametrize("engine", ["fast", "vector"])
+@pytest.mark.parametrize("engine", ENGINE_TIERS)
 @pytest.mark.parametrize("fabric_key,pattern,rw,outstanding", GRID,
                          ids=[f"{f}-{p.name}-{r.reads}to{r.writes}-o{o}"
                               for f, p, r, o in GRID])
@@ -48,8 +49,8 @@ def test_sanitized_grid_clean_and_bit_identical(small_platform, fabric_key,
                                                 pattern, rw, outstanding,
                                                 engine):
     """The sanitizer must see the same event stream under every engine
-    tier: its ledgers are part of the observable surface the vector
-    stepper may not perturb."""
+    tier: its ledgers are part of the observable surface the fast path's
+    skipping may not perturb."""
     eng, sanitized = _run(small_platform, fabric_key, pattern, rw,
                           outstanding, engine, sanitize=True)
     _, plain = _run(small_platform, fabric_key, pattern, rw, outstanding,

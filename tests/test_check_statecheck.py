@@ -1,15 +1,15 @@
-"""Tests of the state-coverage / observer-purity / waker-audit analyzer.
+"""Tests of the state-coverage / observer-purity analyzer.
 
 Two layers:
 
-* **clean-tree gates** — the shipped sources must pass all three
-  analyses (this is the same property ``repro-hbm check --state`` and
-  run pre-validation enforce);
+* **clean-tree gates** — the shipped sources must pass both analyses
+  (this is the same property ``repro-hbm check --state`` and run
+  pre-validation enforce);
 * **seeded mutations** — copies of the *real* sources with a synthetic
-  uncovered field, a hidden observer write, or a waker-less push
-  injected must be flagged with the right SC00x code.  This proves the
-  analyzer detects the bug classes it exists for, not merely that the
-  current tree happens to be quiet.
+  uncovered field or a hidden observer write injected must be flagged
+  with the right SC00x code.  This proves the analyzer detects the bug
+  classes it exists for, not merely that the current tree happens to be
+  quiet.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from repro.check.astutil import dotted, load_sources, module_name
 from repro.check.findings import render_json
 from repro.check.statecheck import (ALLOWLIST, DERIVED_PRAGMA,
                                     check_observer_purity, check_state,
-                                    check_state_coverage, check_waker_audit,
+                                    check_state_coverage,
                                     component_inventory, render_state_report,
                                     state_stats)
 
@@ -54,11 +54,6 @@ def test_shipped_tree_state_coverage_clean(sources):
 
 def test_shipped_tree_observers_pure(sources):
     findings = check_observer_purity(sources)
-    assert findings == [], "\n".join(str(f) for f in findings)
-
-
-def test_shipped_tree_waker_audit_clean(sources):
-    findings = check_waker_audit(sources)
     assert findings == [], "\n".join(str(f) for f in findings)
 
 
@@ -206,60 +201,6 @@ def test_sc003_stale_observer_table_is_an_error(sources):
                for f in findings)
 
 
-# -- SC004: waker audit -------------------------------------------------------
-
-def _strip_waker_calls(source: str, classname: str, method: str) -> str:
-    """AST-rewrite one method, dropping every statement that mentions the
-    waker (comments are lost, but no derived pragmas live in links.py)."""
-    tree = ast.parse(source)
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and node.name == classname:
-            for fn in node.body:
-                if isinstance(fn, ast.FunctionDef) and fn.name == method:
-                    fn.body = [s for s in fn.body
-                               if "waker" not in ast.dump(s)]
-    return ast.unparse(tree)
-
-
-def test_sc004_waker_less_append_is_flagged(sources):
-    src = dict(sources)
-    src["repro.fabric.links"] = _strip_waker_calls(
-        src["repro.fabric.links"], "Fifo", "append")
-    findings = check_waker_audit(src)
-    assert _codes(findings) == ["SC004"]
-    assert any("Fifo.append" in f.message for f in findings)
-
-
-def test_sc004_bypass_push_outside_owner_class(sources):
-    src = dict(sources)
-    src["repro.fabric.links"] += (
-        "\n\ndef _sc_sneak(fifo, flit):\n"
-        "    fifo.items.append(flit)\n")
-    findings = check_waker_audit(src)
-    assert _codes(findings) == ["SC004"]
-    assert any("_sc_sneak" in f.message for f in findings)
-
-
-def test_sc004_counter_tweak_outside_owner_class(sources):
-    src = dict(sources)
-    src["repro.fabric.mao_fabric"] += (
-        "\n\ndef _sc_leak(fab, m):\n"
-        "    fab._reads_in_flight[m] += 1\n")
-    findings = check_waker_audit(src)
-    assert _codes(findings) == ["SC004"]
-    assert any("_reads_in_flight" in f.message for f in findings)
-
-
-def test_sc004_dequeue_needs_no_waker(sources):
-    """popleft drains work; only enqueues must wake."""
-    src = dict(sources)
-    src["repro.fabric.links"] += (
-        "\n\ndef _sc_drain(fifo):\n"
-        "    return fifo.items.popleft()\n")
-    findings = check_waker_audit(src)
-    assert findings == [], "\n".join(str(f) for f in findings)
-
-
 # -- plumbing -----------------------------------------------------------------
 
 def test_syntax_error_becomes_sc000(sources):
@@ -272,11 +213,12 @@ def test_syntax_error_becomes_sc000(sources):
 def test_render_json_is_sorted_and_parseable(sources):
     import json
     src = dict(sources)
-    src["repro.fabric.links"] += (
-        "\n\ndef _sc_sneak(fifo, flit):\n"
-        "    fifo.items.append(flit)\n")
-    payload = json.loads(render_json(check_waker_audit(src)))
-    assert payload and payload[0]["code"] == "SC004"
+    src["repro.dram.controller"] = _inject_method(
+        src["repro.dram.controller"], "MemoryController",
+        "    def _sc_mutate(self) -> None:\n"
+        "        self.shadow_meter = 1\n")
+    payload = json.loads(render_json(check_state_coverage(src)))
+    assert payload and payload[0]["code"] == "SC001"
     assert set(payload[0]) == {"severity", "code", "message", "location"}
 
 

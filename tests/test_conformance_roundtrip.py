@@ -18,6 +18,7 @@ from repro.conformance.case import FAULT_KEYS, FuzzCase, PLATFORMS
 from repro.errors import ConfigError
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
 from repro.sim import SimConfig
+from repro.sim.config import ENGINE_TIERS
 
 # -- strategies --------------------------------------------------------------
 
@@ -64,7 +65,7 @@ def sim_configs(draw):
         cycles=cycles,
         warmup=draw(st.integers(min_value=0, max_value=cycles // 2)),
         outstanding=draw(st.integers(min_value=1, max_value=64)),
-        fast_path=draw(st.booleans()),
+        engine=draw(st.sampled_from(ENGINE_TIERS)),
         sanitize=draw(st.booleans()),
     )
 

@@ -42,9 +42,9 @@ def test_corpus_entry_replays_clean(path):
 @pytest.mark.parametrize("path", ENTRIES, ids=lambda p: p.name)
 def test_corpus_entry_bit_identical_across_engines(path):
     """Every corpus scenario — each one a minimized real finding — must
-    replay bit-identically under all three engine tiers.  ``run_case``
+    replay bit-identically under both engine tiers.  ``run_case``
     already diffs the loops internally; this replays each tier explicitly
-    so a tier-specific divergence names the tier in the failure."""
+    so a divergence shows up as a plain report mismatch."""
     case = load_entry(path)
     reports = {}
     for tier in ENGINE_TIERS:
@@ -53,7 +53,6 @@ def test_corpus_entry_bit_identical_across_engines(path):
                      faults=case.fault_plan() or None)
         reports[tier] = eng.run()
     assert reports["fast"] == reports["legacy"], "fast != legacy"
-    assert reports["vector"] == reports["legacy"], "vector != legacy"
 
 
 @pytest.mark.parametrize("path", ENTRIES, ids=lambda p: p.name)

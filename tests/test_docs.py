@@ -15,7 +15,7 @@ def _read(name):
 
 class TestDocFiles:
     @pytest.mark.parametrize("name", [
-        "README.md", "DESIGN.md", "EXPERIMENTS.md", "CHANGELOG.md",
+        "README.md", "DESIGN.md", "EXPERIMENTS.md",
         "docs/CALIBRATION.md", "docs/TUTORIAL.md",
     ])
     def test_exists_and_nonempty(self, name):

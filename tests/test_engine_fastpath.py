@@ -1,15 +1,13 @@
-"""Differential tests of the engine tiers (legacy / fast / vector).
+"""Differential tests of the engine tiers (legacy / fast).
 
-The fast path (batched master stepping + quiescence skipping) and the
-vector tier (per-component due times in struct-of-arrays, batched
-advancement between event horizons) both claim to be *optimizations,
-never model changes*: for every configuration the
+The fast path (batched master stepping + quiescence skipping) claims to
+be an *optimization, never a model change*: for every configuration the
 :class:`~repro.sim.stats.SimReport` must be **bit-identical** to the
 legacy strictly per-cycle loop — same Welford latency moments (which are
 float-order-sensitive, so even completion *ordering* must match), same
 byte counters, same histograms.  These tests enforce that claim over a
-grid of fabric × pattern × direction × outstanding configurations, with
-every engine pair diffed, plus the drain/deadlock edge cases.
+grid of fabric × pattern × direction × outstanding configurations, plus
+the drain/deadlock edge cases.
 """
 
 from __future__ import annotations
@@ -102,9 +100,9 @@ def _run(small_platform, fabric_key, pattern, rw, outstanding, engine,
     return eng, eng.run()
 
 
-def _three_way(small_platform, fabric_key, pattern, rw, outstanding,
-               **kw):
-    """Run all three tiers; diff every pair against the legacy oracle."""
+def _both_tiers(small_platform, fabric_key, pattern, rw, outstanding,
+                **kw):
+    """Run both tiers; diff the fast report against the legacy oracle."""
     reports = {
         engine: _run(small_platform, fabric_key, pattern, rw, outstanding,
                      engine, **kw)[1]
@@ -112,8 +110,6 @@ def _three_way(small_platform, fabric_key, pattern, rw, outstanding,
     }
     legacy = reports["legacy"]
     assert reports["fast"] == legacy, "fast != legacy"
-    assert reports["vector"] == legacy, "vector != legacy"
-    assert reports["vector"] == reports["fast"], "vector != fast"
     return legacy
 
 
@@ -124,7 +120,7 @@ def test_engines_bit_identical(small_platform, fabric_key, pattern, rw,
                                outstanding):
     # Dataclass equality covers every field, including the float Welford
     # moments and the latency histograms.
-    _three_way(small_platform, fabric_key, pattern, rw, outstanding)
+    _both_tiers(small_platform, fabric_key, pattern, rw, outstanding)
 
 
 @pytest.mark.parametrize("fabric_key,plan_key", FAULT_GRID,
@@ -137,8 +133,8 @@ def test_engines_bit_identical_under_faults(small_platform, fabric_key,
     plan = FAULT_PLANS[plan_key]
     kw = dict(faults=plan, txn_timeout_cycles=4000,
               progress_timeout_cycles=4000)
-    report = _three_way(small_platform, fabric_key, Pattern.SCS, TWO_TO_ONE,
-                        16, **kw)
+    report = _both_tiers(small_platform, fabric_key, Pattern.SCS, TWO_TO_ONE,
+                         16, **kw)
     # The scenario must actually have exercised the fault machinery.
     if plan.offline_pchs and plan.degrade:
         assert report.dead_pchs == plan.offline_pchs
@@ -151,15 +147,6 @@ def test_fast_path_actually_skips_cycles(small_platform):
     engine, _ = _run(small_platform, "mao", Pattern.CCS, TWO_TO_ONE, 1,
                      "fast")
     assert engine.stepped_cycles < engine.config.cycles
-
-
-def test_vector_skips_cycles(small_platform):
-    """The vector tier must exploit idle stretches too: on the MAO it
-    uses the fabric's own horizon plus its extended master sleep rules,
-    and must still skip cycles of the low-intensity scenario."""
-    vec, _ = _run(small_platform, "mao", Pattern.CCS, TWO_TO_ONE, 1,
-                  "vector")
-    assert vec.stepped_cycles < vec.config.cycles
 
 
 def _starved_mao(small_platform, engine, cycles=2400):
@@ -179,8 +166,8 @@ def _starved_mao(small_platform, engine, cycles=2400):
 
 def test_optimized_tiers_jump_starvation_window(small_platform):
     """The fabric's horizon parks the dead channel's queue and proves the
-    refused staged deque cannot move until a scheduler pop, so both
-    optimized tiers jump the starvation window instead of grinding it."""
+    refused staged deque cannot move until a scheduler pop, so the fast
+    tier jumps the starvation window instead of grinding it."""
     stepped = {}
     reports = {}
     for engine in ENGINE_TIERS:
@@ -188,9 +175,7 @@ def test_optimized_tiers_jump_starvation_window(small_platform):
         reports[engine] = eng.run()
         stepped[engine] = eng.stepped_cycles
     assert reports["fast"] == reports["legacy"]
-    assert reports["vector"] == reports["legacy"]
     assert stepped["fast"] < stepped["legacy"] / 4
-    assert stepped["vector"] < stepped["legacy"] / 4
 
 
 def test_drain_of_starved_fabric_jumps_to_deadline(small_platform):
@@ -235,7 +220,6 @@ def _hotspot_tiers(small_platform, fabric_key, rw, plan=None, sched=None,
                         engine=engine)
         reports[engine] = Engine(fabric, sources, cfg, faults=plan).run()
     assert reports["fast"] == reports["legacy"], "fast != legacy"
-    assert reports["vector"] == reports["legacy"], "vector != legacy"
 
 
 def test_ideal_link_stall_with_staged_work(small_platform):
@@ -366,26 +350,10 @@ def test_lossy_subclass_is_bit_identical(small_platform):
         eng = Engine(fabric, sources, cfg)
         reports[engine] = eng.run()
     assert reports["fast"] == reports["legacy"]
-    assert reports["vector"] == reports["legacy"]
-
-
-def test_fast_path_env_override(monkeypatch):
-    monkeypatch.setenv("REPRO_FAST_PATH", "0")
-    assert SimConfig().fast_path is False
-    monkeypatch.setenv("REPRO_FAST_PATH", "1")
-    assert SimConfig().fast_path is True
-    monkeypatch.delenv("REPRO_FAST_PATH")
-    assert SimConfig().fast_path is True
 
 
 def test_engine_env_override(monkeypatch):
-    monkeypatch.setenv("REPRO_ENGINE", "vector")
-    cfg = SimConfig()
-    assert cfg.engine == "vector"
-    assert cfg.fast_path is True
     monkeypatch.setenv("REPRO_ENGINE", "legacy")
-    cfg = SimConfig()
-    assert cfg.engine == "legacy"
-    assert cfg.fast_path is False
+    assert SimConfig().engine == "legacy"
     monkeypatch.delenv("REPRO_ENGINE")
     assert SimConfig().engine == "fast"

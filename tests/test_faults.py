@@ -22,6 +22,7 @@ from repro.faults.chaos import SCENARIOS, format_report, run_scenario
 from repro.fabric import IdealFabric, MaoFabric, SegmentedFabric
 from repro.params import HbmPlatform
 from repro.sim import Engine, SimConfig, TraceRecorder
+from repro.sim.config import ENGINE_TIERS
 from repro.traffic import make_pattern_sources
 from repro.types import FabricKind, Pattern
 
@@ -316,9 +317,9 @@ class _ExplodingObserver:
 
 
 class TestObserverErrors:
-    @pytest.mark.parametrize("fast", [True, False], ids=["fast", "legacy"])
-    def test_raising_observer_surfaces_typed_error(self, fast):
-        engine = _engine(cycles=800, warmup=100, fast_path=fast)
+    @pytest.mark.parametrize("engine_tier", ENGINE_TIERS)
+    def test_raising_observer_surfaces_typed_error(self, engine_tier):
+        engine = _engine(cycles=800, warmup=100, engine=engine_tier)
         engine.observers.append(_ExplodingObserver())
         with pytest.raises(ObserverError, match="boom"):
             engine.run()

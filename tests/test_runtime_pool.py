@@ -11,12 +11,15 @@ from __future__ import annotations
 
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.errors import SweepError
 from repro.runtime import (ISOLATED_ENV, SupervisedPool, SweepOutcome,
                            TaskFailure)
+from repro.runtime import pool as pool_mod
 
 
 def _square(x):
@@ -114,6 +117,26 @@ class TestCrashRecovery:
         assert outcome.results == [i * i for i in range(5)]
         assert not outcome.failures
         assert outcome.quarantined == 1  # rescued on the isolated retry
+
+    def test_pool_broken_at_dispatch_is_rebuilt(self, monkeypatch):
+        """A worker that dies between ``wait()`` and the next dispatch
+        breaks the pool inside ``submit``: the undispatched item is
+        requeued, the pool rebuilt, and every result still arrives."""
+        submits = []
+
+        class BreaksAtSecondSubmit(ProcessPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                submits.append(args)
+                if len(submits) == 2:
+                    raise BrokenProcessPool("worker died before dispatch")
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(pool_mod, "ProcessPoolExecutor",
+                            BreaksAtSecondSubmit)
+        outcome = _fast_pool().map(_square, list(range(6)))
+        assert outcome.results == [x * x for x in range(6)]
+        assert outcome.ok and not outcome.failures
+        assert outcome.rebuilds == 1
 
     def test_quarantine_disabled_reports_crash_kind(self):
         items = [(i, i == 1) for i in range(4)]

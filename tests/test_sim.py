@@ -29,6 +29,8 @@ class TestSimConfig:
             SimConfig(cycles=100, warmup=100)
         with pytest.raises(ConfigError):
             SimConfig(outstanding=0)
+        with pytest.raises(ConfigError):
+            SimConfig(engine="vector")
 
 
 class TestOnlineStats:

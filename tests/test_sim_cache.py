@@ -113,14 +113,16 @@ def test_cache_disabled_by_env(monkeypatch):
 
 
 def test_fast_path_toggle_changes_key(monkeypatch):
+    monkeypatch.delenv("REPRO_ENGINE", raising=False)
     k_fast = sweep_key("x", DEFAULT_PLATFORM, a=1)
-    monkeypatch.setenv("REPRO_FAST_PATH", "0")
+    monkeypatch.setenv("REPRO_ENGINE", "legacy")
     k_legacy = sweep_key("x", DEFAULT_PLATFORM, a=1)
     assert k_fast != k_legacy
 
 
 def test_observer_toggles_change_key(monkeypatch):
-    """The sanitize/telemetry switches key the cache like fast_path does."""
+    """The sanitize/telemetry switches key the cache like the engine
+    tier does."""
     base = sweep_key("x", DEFAULT_PLATFORM, a=1)
     monkeypatch.setenv("REPRO_SANITIZE", "1")
     k_san = sweep_key("x", DEFAULT_PLATFORM, a=1)

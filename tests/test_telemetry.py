@@ -15,6 +15,7 @@ import pytest
 from repro.fabric import IdealFabric, MaoFabric, SegmentedFabric
 from repro.params import DEFAULT_PLATFORM
 from repro.sim import Engine, SimConfig, TraceRecorder
+from repro.sim.config import ENGINE_TIERS
 from repro.telemetry import (
     COUNTER, GAUGE, Log2Histogram, Probe, ProbeSet, Telemetry,
     build_manifest, chrome_trace, validate_chrome_trace, write_manifest,
@@ -40,14 +41,13 @@ GRID = [
 
 
 def _run(small_platform, fabric_key, pattern, rw, *, telemetry,
-         fast_path=True, cycles=1200, interval=64, outstanding=32,
-         engine=None):
+         cycles=1200, interval=64, outstanding=32, engine="fast"):
     fabric = FABRICS[fabric_key](small_platform)
     sources = make_pattern_sources(pattern, small_platform, burst_len=8,
                                    rw=rw, address_map=fabric.address_map)
-    cfg = SimConfig(cycles=cycles, warmup=300, fast_path=fast_path,
-                    outstanding=outstanding, engine=engine or "",
-                    telemetry=telemetry, telemetry_interval=interval)
+    cfg = SimConfig(cycles=cycles, warmup=300, outstanding=outstanding,
+                    engine=engine, telemetry=telemetry,
+                    telemetry_interval=interval)
     engine_ = Engine(fabric, sources, cfg)
     return engine_, engine_.run()
 
@@ -181,29 +181,26 @@ def test_pure_observer_on_jumpy_workload(small_platform):
 
 
 def test_telemetry_identical_across_engine_loops(small_platform):
-    """Every tier drives the sampler through the same cycle grid: grid
+    """Both tiers drive the sampler through the same cycle grid: grid
     samples that fall inside a clock jump are filled in from the frozen
     pre-jump state, so the sample schedule, every series, the gauge
     high-water marks and the bottleneck split match the per-cycle oracle
-    even on a workload the optimized tiers jump through."""
-    runs = {engine: _run(small_platform, "ideal", Pattern.SCRA, READ_ONLY,
-                         telemetry=True, outstanding=1, engine=engine)
-            for engine in ("legacy", "fast", "vector")}
-    e_legacy, r_legacy = runs["legacy"]
-    tl = e_legacy.telemetry
+    even on a workload the fast tier jumps through."""
+    e_legacy, r_legacy = _run(small_platform, "ideal", Pattern.SCRA,
+                              READ_ONLY, telemetry=True, outstanding=1,
+                              engine="legacy")
+    eng, report = _run(small_platform, "ideal", Pattern.SCRA, READ_ONLY,
+                       telemetry=True, outstanding=1)
+    tl, tele = e_legacy.telemetry, eng.telemetry
     assert not tl.jumps
-    for engine in ("fast", "vector"):
-        eng, report = runs[engine]
-        tele = eng.telemetry
-        assert report == r_legacy
-        assert tele.jumps, engine  # the workload actually jumps
-        assert tele.sample_cycles == tl.sample_cycles, engine
-        for probe in tele.probes:
-            assert tele.series(probe.name) == tl.series(probe.name), \
-                (engine, probe.name)
-        assert tele.high_water_marks() == tl.high_water_marks(), engine
-        assert (bottleneck_report(tele, report)
-                == bottleneck_report(tl, r_legacy)), engine
+    assert report == r_legacy
+    assert tele.jumps  # the workload actually jumps
+    assert tele.sample_cycles == tl.sample_cycles
+    for probe in tele.probes:
+        assert tele.series(probe.name) == tl.series(probe.name), probe.name
+    assert tele.high_water_marks() == tl.high_water_marks()
+    assert (bottleneck_report(tele, report)
+            == bottleneck_report(tl, r_legacy))
 
 
 def test_telemetry_finals_loop_invariant_despite_jumps(small_platform):
@@ -213,7 +210,7 @@ def test_telemetry_finals_loop_invariant_despite_jumps(small_platform):
     e_fast, r_fast = _run(small_platform, "ideal", Pattern.SCRA, READ_ONLY,
                           telemetry=True, outstanding=1)
     e_legacy, r_legacy = _run(small_platform, "ideal", Pattern.SCRA,
-                              READ_ONLY, telemetry=True, fast_path=False,
+                              READ_ONLY, telemetry=True, engine="legacy",
                               outstanding=1)
     assert r_fast == r_legacy
     tf, tl = e_fast.telemetry, e_legacy.telemetry
@@ -224,7 +221,7 @@ def test_telemetry_finals_loop_invariant_despite_jumps(small_platform):
             assert finals_f[probe.name] == finals_l[probe.name], probe.name
 
 
-@pytest.mark.parametrize("engine", ["legacy", "fast", "vector"])
+@pytest.mark.parametrize("engine", ENGINE_TIERS)
 def test_non_dividing_interval_is_still_pure(small_platform, engine):
     """With a sampling interval that does *not* divide the engines' jump
     lengths (97 is prime), grid samples fall mid-jump: they are filled
@@ -247,7 +244,7 @@ def test_non_dividing_interval_is_still_pure(small_platform, engine):
     assert tele.sample_cycles == grid + [eng.config.cycles - 1]
 
 
-@pytest.mark.parametrize("engine", ["legacy", "fast", "vector"])
+@pytest.mark.parametrize("engine", ENGINE_TIERS)
 def test_non_dividing_interval_reports_identical_across_engines(
         small_platform, engine):
     """And across tiers: the non-dividing interval must not open a gap
