@@ -129,9 +129,7 @@ class MasterPort:
             if txn is None:
                 txn = self.source.next_txn(cycle)
                 if txn is None:
-                    # Re-derived from source position on every step; the
-                    # SoA image deliberately omits it.
-                    self.exhausted = True  # statecheck: derived
+                    self.exhausted = True
                     return
             if not fabric.submit(txn, cycle):
                 # Ingress backpressure: retry the same transaction later.

@@ -1,6 +1,6 @@
 """Correctness tooling: runtime sanitizer, static analyzer, determinism lint.
 
-Three cooperating passes guard the reproduction against silent modeling
+Four cooperating passes guard the reproduction against silent modeling
 bugs (see DESIGN.md §7):
 
 * :mod:`repro.check.sanitizer` — runtime invariant checks attached to a
@@ -10,17 +10,15 @@ bugs (see DESIGN.md §7):
   without simulating (``repro-hbm check``).
 * :mod:`repro.check.lint` — AST lint forbidding nondeterminism sources
   in ``src/`` (``repro-hbm check --lint``).
-* :mod:`repro.check.statecheck` — whole-program state-coverage /
-  observer-purity analysis proving the engine tiers cannot silently
-  drift (``repro-hbm check --state``).
+* :mod:`repro.check.statecheck` — whole-program observer-purity
+  analysis proving the sanitizer, telemetry sampler and conformance
+  reference never write simulation state (``repro-hbm check --state``).
 """
 
 from .findings import Finding, Report, render, render_json
 from .lint import lint_source, lint_tree
 from .sanitizer import CheckedBankSet, Sanitizer
-from .statecheck import (check_observer_purity, check_state,
-                         check_state_coverage, component_inventory,
-                         render_state_report, state_stats)
+from .statecheck import check_observer_purity
 from .static import (WaitGraph, build_wait_graph, check_address_map,
                      check_all, check_config, check_credits,
                      check_experiment, check_fault_plan, check_topology,
@@ -32,11 +30,6 @@ __all__ = [
     "render",
     "render_json",
     "check_observer_purity",
-    "check_state",
-    "check_state_coverage",
-    "component_inventory",
-    "render_state_report",
-    "state_stats",
     "lint_source",
     "lint_tree",
     "CheckedBankSet",

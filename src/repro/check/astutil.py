@@ -1,9 +1,9 @@
 """Shared AST utilities for the static-analysis passes.
 
 Extracted from :mod:`repro.check.lint` so the determinism lint and the
-state-coverage analyzer (:mod:`repro.check.statecheck`) agree on how
-attribute chains flatten, how per-line pragmas are honoured, and how the
-``src/repro`` tree is loaded for whole-program analysis.
+observer-purity analyzer (:mod:`repro.check.statecheck`) agree on how
+attribute chains flatten and how the ``src/repro`` tree is loaded for
+whole-program analysis; the lint's per-line pragma scan lives here too.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ def default_src_root() -> Path:
 
 def module_name(path: Path, src_root: Path) -> str:
     """Dotted module name of ``path`` relative to ``src_root``'s parent
-    (``src_root / 'dram/soa.py'`` -> ``'repro.dram.soa'``)."""
+    (``src_root / 'dram/pch.py'`` -> ``'repro.dram.pch'``)."""
     rel = path.relative_to(src_root)
     parts = (src_root.name,) + rel.with_suffix("").parts
     if parts[-1] == "__init__":

@@ -1,37 +1,11 @@
-"""Whole-program state-coverage & observer-purity static analysis.
+"""Observer-purity static analysis (``repro-hbm check --state``).
 
-The two engine tiers (fast / legacy) are only bit-identical if two
-structural properties hold that no dynamic oracle checks until a fuzz
-campaign happens to reach the broken configuration:
-
-* the struct-of-arrays adapters (:mod:`repro.dram.soa`,
-  :mod:`repro.fabric.soa`) must mirror **every** mutable field of the
-  components they capture/refresh/restore, and fold them into the
-  ``soa_digest`` fingerprint the cross-engine state tests compare;
-* the observer layers (:mod:`repro.check.sanitizer`,
-  :mod:`repro.telemetry.sampler`, :mod:`repro.conformance.reference`)
-  must never write simulation state.
-
-This module proves both statically, over AST copies of the real
-sources (``repro-hbm check --state``; wired into run pre-validation):
-
-**SC001 — uncovered-state-field.**  The field inventory infers each
-component's mutable-state set: attributes assigned or container-mutated
-on ``self`` outside ``__init__``, plus attributes other modules write
-onto component instances (fault injector, engine drain, watchdog
-wiring).
-A field is *sim-state* unless every mutating line carries the
-``# statecheck: derived`` pragma (recomputed state, e.g.
-``MasterPort.exhausted``) or the field has an :data:`ALLOWLIST` entry
-with a reason.  Every sim-state field must be read by its SoA adapter's
-``refresh`` (``capture`` delegates to it) — directly, through a
-one-level alias, or through a ``getattr`` loop over a resolvable name
-tuple — and the adapter's ``arrays()`` must iterate ``__slots__`` so
-the digest covers it.
-
-**SC002 — stale-allowlist-entry.**  An :data:`ALLOWLIST` entry whose
-(class, field) no longer names a mutable field is reported, so the
-table can only shrink back in step with the code.
+The observer layers (:mod:`repro.check.sanitizer`,
+:mod:`repro.telemetry.sampler`, :mod:`repro.conformance.reference`)
+promise bit-identical reports whether they are attached or not, so they
+must never write simulation state.  This module proves that statically,
+over AST copies of the real sources (also folded into ``check --all``
+and run pre-validation):
 
 **SC003 — observer-writes-sim-state.**  An interprocedural write-set
 analysis over the call graph: starting from each observer entry point
@@ -46,40 +20,28 @@ allowlisted in :data:`PURITY_ALLOW`.  Calls the analysis cannot resolve
 (first-class probe lambdas) are assumed pure — the documented limit of
 the proof.
 
-The analyses run on a ``{module: source}`` mapping so the seeded
+The analysis runs on a ``{module: source}`` mapping so the seeded
 mutation self-tests (``tests/test_check_statecheck.py``) can inject a
-synthetic field or a hidden observer write into copies of the real
-sources and assert the right SC00x fires.
+hidden observer write into copies of the real sources and assert that
+SC003 fires.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (Dict, FrozenSet, Iterable, List, Mapping, Optional,
                     Sequence, Set, Tuple)
 
-from .astutil import dotted, load_sources, parse_sources, pragma_lines
+from .astutil import dotted, load_sources, parse_sources
 from .findings import Finding
 
 __all__ = [
-    "ALLOWLIST",
-    "COMPONENTS",
-    "DERIVED_PRAGMA",
     "OBSERVERS",
     "PURITY_ALLOW",
-    "StateStats",
     "check_observer_purity",
-    "check_state",
-    "check_state_coverage",
-    "component_inventory",
     "render_state_report",
-    "state_stats",
 ]
-
-#: Marks every mutation line of a field that is *derived* (recomputable)
-#: rather than sim-state the SoA image must carry.
-DERIVED_PRAGMA = "statecheck: derived"
 
 #: Container methods that mutate their receiver in place.
 _MUTATOR_NAMES = frozenset({
@@ -99,86 +61,10 @@ _SCALAR_BUILTINS = frozenset({
     "sum", "divmod", "ord", "chr",
 })
 
-#: Modules whose attribute writes are the capture/restore mechanism
-#: itself and therefore never count as state mutation.
-_ADAPTER_MODULES = frozenset({"repro.dram.soa", "repro.fabric.soa"})
-
 
 # ---------------------------------------------------------------------------
-# component / adapter / observer tables
+# observer tables
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ComponentSpec:
-    """One simulated component class and the SoA adapter covering it."""
-
-    module: str
-    cls: str
-    adapter_module: Optional[str] = None
-    adapter_cls: Optional[str] = None
-    #: For nested components: the attribute of the adapter's item that
-    #: holds this object (``PseudoChannel.banks`` -> :class:`BankSet`).
-    via: Optional[str] = None
-
-
-COMPONENTS: Tuple[ComponentSpec, ...] = (
-    ComponentSpec("repro.dram.pch", "PseudoChannel",
-                  "repro.dram.soa", "DramStateSoA"),
-    ComponentSpec("repro.dram.bank", "BankSet",
-                  "repro.dram.soa", "DramStateSoA", via="banks"),
-    ComponentSpec("repro.dram.pch", "PchCounters",
-                  "repro.dram.soa", "DramStateSoA", via="counters"),
-    ComponentSpec("repro.dram.controller", "MemoryController",
-                  "repro.fabric.soa", "McStateSoA"),
-    ComponentSpec("repro.fabric.links", "ArbOutput",
-                  "repro.fabric.soa", "ArbStateSoA"),
-    ComponentSpec("repro.fabric.links", "Fifo"),
-    ComponentSpec("repro.fabric.links", "SharedBus"),
-    ComponentSpec("repro.axi.master", "MasterPort",
-                  "repro.fabric.soa", "MasterStateSoA"),
-)
-
-#: Mutable fields deliberately outside the SoA image, with the reason.
-#: SC002 reports entries that stop naming a mutable field.
-ALLOWLIST: Dict[Tuple[str, str], str] = {
-    ("Fifo", "items"):
-        "occupancy is a live due signal (pending_in / fifo lengths); the "
-        "flit queue itself is scalar-only between event horizons",
-    ("ArbOutput", "in_flight"):
-        "fingerprinted via the inflight_len/inflight_head projections; "
-        "the deque itself stays scalar",
-    ("SharedBus", "busy_until"):
-        "lateral bus meter: shared-bus stalls keep an every-cycle due, "
-        "so the scalar is always fresh when captured",
-    ("MemoryController", "queues"):
-        "fingerprinted via the queue_len projection; contents stay "
-        "scalar between event horizons",
-    ("MemoryController", "_pending"):
-        "fingerprinted via the pending_len/pending_head projections",
-    ("MemoryController", "_seq"):
-        "heap tiebreaker, strictly derived from accept order",
-    ("MemoryController", "degrade_offline"):
-        "fault plane: set only by fault events, to which every loop "
-        "clamps its jumps",
-    ("MasterPort", "_staged"):
-        "fingerprinted via the staged projection; the staged txn object "
-        "is re-submitted scalar-side",
-    ("MasterPort", "_retry"):
-        "fingerprinted via the retry_len/retry_head projections",
-    ("MasterPort", "_retry_seq"):
-        "heap tiebreaker, strictly derived from NACK order",
-    ("MasterPort", "draining"):
-        "engine drain-phase flag, toggled outside the stepped region",
-    ("MasterPort", "on_issue"):
-        "observer/watchdog wiring, not simulation state",
-    ("PseudoChannel", "fault"):
-        "fault plane: set only by fault events, to which every loop "
-        "clamps its jumps",
-    ("PseudoChannel", "banks"):
-        "rebound only by sanitizer attach (CheckedBankSet proxy); the "
-        "bank state behind it is captured field by field",
-}
-
 
 @dataclass(frozen=True)
 class ObserverSpec:
@@ -218,17 +104,14 @@ PURITY_ALLOW: Dict[Tuple[str, str, str], str] = {
 # ---------------------------------------------------------------------------
 
 class _ModuleInfo:
-    """Parsed module plus the lookup tables every analysis shares."""
+    """Parsed module plus the lookup tables the purity analysis uses."""
 
-    def __init__(self, name: str, source: str, tree: ast.Module) -> None:
+    def __init__(self, name: str, tree: ast.Module) -> None:
         self.name = name
-        self.tree = tree
-        self.derived_lines = pragma_lines(source, DERIVED_PRAGMA)
         self.classes: Dict[str, ast.ClassDef] = {}
         self.functions: Dict[str, ast.FunctionDef] = {}
         self.methods: Dict[Tuple[str, str], ast.FunctionDef] = {}
         self.imports: Dict[str, Tuple[str, str]] = {}
-        self.consts: Dict[str, Tuple[str, ...]] = _str_tuple_consts(tree.body)
         for node in tree.body:
             if isinstance(node, ast.ClassDef):
                 self.classes[node.name] = node
@@ -258,26 +141,9 @@ def _resolve_import(module: str, node: ast.ImportFrom) -> Optional[str]:
     return ".".join(base) if base else None
 
 
-def _str_tuple_consts(body: Sequence[ast.stmt]) -> Dict[str, Tuple[str, ...]]:
-    """``NAME = ("a", "b", ...)`` constants in a class/module body."""
-    consts: Dict[str, Tuple[str, ...]] = {}
-    for node in body:
-        target: Optional[ast.expr] = None
-        value: Optional[ast.expr] = None
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target, value = node.targets[0], node.value
-        elif isinstance(node, ast.AnnAssign):
-            target, value = node.target, node.value
-        if (isinstance(target, ast.Name) and isinstance(value, ast.Tuple)
-                and all(isinstance(e, ast.Constant)
-                        and isinstance(e.value, str) for e in value.elts)):
-            consts[target.id] = tuple(e.value for e in value.elts)
-    return consts
-
-
 def _module_path(name: str, all_names: Iterable[str]) -> str:
-    """Pseudo source path of a module (``repro.dram.soa`` ->
-    ``repro/dram/soa.py``; packages map to their ``__init__.py``)."""
+    """Pseudo source path of a module (``repro.dram.pch`` ->
+    ``repro/dram/pch.py``; packages map to their ``__init__.py``)."""
     prefix = name + "."
     base = name.replace(".", "/")
     if any(other.startswith(prefix) for other in all_names):
@@ -291,384 +157,8 @@ def _index(sources: Mapping[str, str],
     findings = [Finding("error", "SC000", f"unparsable module: {msg}",
                         _module_path(mod, sources))
                 for mod, msg in sorted(errors.items())]
-    index = {name: _ModuleInfo(name, sources[name], tree)
-             for name, tree in trees.items()}
+    index = {name: _ModuleInfo(name, tree) for name, tree in trees.items()}
     return index, findings
-
-
-# ---------------------------------------------------------------------------
-# helpers of the field analysis
-# ---------------------------------------------------------------------------
-
-def _self_root_field(node: ast.expr) -> Optional[str]:
-    """The ``self`` field a store target lands in: ``self.f`` or
-    ``self.f[k]...[j]`` root in ``f``.  ``self.f.g`` does NOT — that
-    mutates the *referenced* object, which the external-write scan
-    attributes to the owning class by field name."""
-    while isinstance(node, ast.Subscript):
-        node = node.value
-    if (isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "self"):
-        return node.attr
-    return None
-
-
-def _target_field(node: ast.expr) -> Optional[Tuple[str, bool]]:
-    """(field, base_is_self) of an attribute-store target, peeling
-    subscripts: ``x.f[k] = v`` mutates ``f`` of ``x``."""
-    while isinstance(node, ast.Subscript):
-        node = node.value
-    if not isinstance(node, ast.Attribute):
-        return None
-    base = node.value
-    is_self = isinstance(base, ast.Name) and base.id == "self"
-    return node.attr, is_self
-
-
-def _assign_targets(node: ast.stmt) -> List[ast.expr]:
-    if isinstance(node, ast.Assign):
-        out: List[ast.expr] = []
-        for t in node.targets:
-            out.extend(t.elts if isinstance(t, (ast.Tuple, ast.List))
-                       else [t])
-        return out
-    if isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-        return [node.target]
-    return []
-
-
-def _local_field_aliases(func: ast.FunctionDef) -> Dict[str, str]:
-    """Locals bound from an *item* of a ``self`` container field
-    (``q = self.queues[li]``): one-level alias resolution for
-    container-mutation attribution.  Plain ``x = self.f`` aliases are
-    deliberately excluded — mutating through them touches the referenced
-    object (``dest = self.dest; dest.append(...)`` fills a Fifo, not an
-    ArbOutput field), which the referenced class's own inventory owns."""
-    aliases: Dict[str, str] = {}
-    for node in ast.walk(func):
-        if not (isinstance(node, ast.Assign) and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)
-                and isinstance(node.value, ast.Subscript)):
-            continue
-        root = _self_root_field(node.value)
-        if root is not None:
-            aliases[node.targets[0].id] = root
-    return aliases
-
-
-# ---------------------------------------------------------------------------
-# SC001 / SC002 — field inventory -> SoA coverage
-# ---------------------------------------------------------------------------
-
-@dataclass
-class FieldInfo:
-    """Inventory record of one mutable component field."""
-
-    mutated_at: List[Tuple[str, int]] = field(default_factory=list)
-    derived: bool = True  # every mutation line carries the pragma
-    external: bool = False
-
-    def note(self, module: str, line: int, pragma: bool) -> None:
-        self.mutated_at.append((module, line))
-        if not pragma:
-            self.derived = False
-
-
-def _candidate_fields(cls: ast.ClassDef) -> Set[str]:
-    """Attributes a class can hold: ``__slots__``, dataclass
-    annotations, and every ``self.x`` assignment."""
-    fields: Set[str] = set()
-    for node in cls.body:
-        if (isinstance(node, ast.Assign) and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)
-                and node.targets[0].id == "__slots__"
-                and isinstance(node.value, (ast.Tuple, ast.List))):
-            fields.update(e.value for e in node.value.elts
-                          if isinstance(e, ast.Constant)
-                          and isinstance(e.value, str))
-        elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
-                                                            ast.Name):
-            fields.add(node.target.id)
-    for node in ast.walk(cls):
-        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-            for target in _assign_targets(node):
-                if (isinstance(target, ast.Attribute)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == "self"):
-                    fields.add(target.attr)
-    return fields
-
-
-def _class_mutations(info: _ModuleInfo, cls: ast.ClassDef,
-                     ) -> Dict[str, FieldInfo]:
-    """Fields a class mutates on ``self`` outside ``__init__``."""
-    mutated: Dict[str, FieldInfo] = {}
-
-    def note(name: str, line: int) -> None:
-        mutated.setdefault(name, FieldInfo()).note(
-            info.name, line, line in info.derived_lines)
-
-    for method in (n for n in cls.body
-                   if isinstance(n, ast.FunctionDef)
-                   and n.name != "__init__"):
-        aliases = _local_field_aliases(method)
-        for node in ast.walk(method):
-            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-                for target in _assign_targets(node):
-                    root = _self_root_field(target)
-                    if root is not None and not isinstance(target, ast.Name):
-                        note(root, node.lineno)
-                    elif isinstance(target, ast.Subscript):
-                        base = target.value
-                        while isinstance(base, ast.Subscript):
-                            base = base.value
-                        if (isinstance(base, ast.Name)
-                                and base.id in aliases):
-                            note(aliases[base.id], node.lineno)
-            elif isinstance(node, ast.Call):
-                chain = dotted(node.func)
-                if len(chain) >= 3 and chain[0] == "self" \
-                        and chain[-1] in _MUTATOR_NAMES:
-                    note(chain[1], node.lineno)
-                elif (len(chain) == 2 and chain[0] in aliases
-                      and chain[-1] in _MUTATOR_NAMES):
-                    note(aliases[chain[0]], node.lineno)
-                elif chain and chain[-1] in _HEAP_MUTATORS and node.args:
-                    root = _self_root_field(node.args[0])
-                    if root is not None:
-                        note(root, node.lineno)
-                    elif (isinstance(node.args[0], ast.Name)
-                          and node.args[0].id in aliases):
-                        note(aliases[node.args[0].id], node.lineno)
-    return mutated
-
-
-def _external_writes(index: Mapping[str, _ModuleInfo],
-                     ) -> Dict[str, List[Tuple[str, int]]]:
-    """Attribute stores on non-``self`` bases, across the whole tree
-    (engine drain flags, watchdog wiring, fault injection)."""
-    writes: Dict[str, List[Tuple[str, int]]] = {}
-    for name, info in sorted(index.items()):
-        if name in _ADAPTER_MODULES:
-            continue
-        for node in ast.walk(info.tree):
-            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-                for target in _assign_targets(node):
-                    hit = _target_field(target)
-                    if hit is not None and not hit[1]:
-                        writes.setdefault(hit[0], []).append(
-                            (name, node.lineno))
-    return writes
-
-
-def _adapter_coverage(info: _ModuleInfo, adapter: ast.ClassDef,
-                      ) -> Dict[str, Set[str]]:
-    """Fields ``refresh`` reads, keyed by path: ``""`` for the item
-    itself, an attribute name for one-level nested objects."""
-    refresh = next((n for n in adapter.body
-                    if isinstance(n, ast.FunctionDef)
-                    and n.name == "refresh"), None)
-    coverage: Dict[str, Set[str]] = {"": set()}
-    if refresh is None:
-        return coverage
-    class_consts = _str_tuple_consts(adapter.body)
-
-    # The item variable: second target of `for i, item in enumerate(seq)`
-    # or the target of a plain `for item in seq` over the parameter.
-    params = {a.arg for a in refresh.args.args} - {"self"}
-    items: Set[str] = set()
-    name_loops: Dict[str, Tuple[str, ...]] = {}
-
-    def const_of(expr: ast.expr) -> Optional[Tuple[str, ...]]:
-        if isinstance(expr, ast.Name):
-            return info.consts.get(expr.id) or class_consts.get(expr.id)
-        if (isinstance(expr, ast.Attribute)
-                and isinstance(expr.value, ast.Name)
-                and expr.value.id == "self"):
-            return class_consts.get(expr.attr) or info.consts.get(expr.attr)
-        return None
-
-    for node in ast.walk(refresh):
-        if not isinstance(node, ast.For):
-            continue
-        it = node.iter
-        target = node.target
-        if (isinstance(it, ast.Call) and isinstance(it.func, ast.Name)
-                and it.func.id == "enumerate" and it.args):
-            it = it.args[0]
-            if isinstance(target, ast.Tuple) and len(target.elts) == 2:
-                target = target.elts[1]
-        if isinstance(target, ast.Name):
-            if isinstance(it, ast.Name) and it.id in params:
-                items.add(target.id)
-            else:
-                const = const_of(it)
-                if const is not None:
-                    name_loops[target.id] = const
-
-    aliases: Dict[str, str] = {}  # local -> attr of the item it aliases
-    for node in ast.walk(refresh):
-        if (isinstance(node, ast.Assign) and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)
-                and isinstance(node.value, ast.Attribute)
-                and isinstance(node.value.value, ast.Name)
-                and node.value.value.id in items):
-            aliases[node.targets[0].id] = node.value.attr
-
-    def bucket_of(base: ast.expr) -> Optional[str]:
-        if not isinstance(base, ast.Name):
-            return None
-        if base.id in items:
-            return ""
-        return aliases.get(base.id)
-
-    for node in ast.walk(refresh):
-        if isinstance(node, ast.Attribute):
-            bucket = bucket_of(node.value)
-            if bucket is not None:
-                coverage.setdefault(bucket, set()).add(node.attr)
-        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-              and node.func.id == "getattr" and len(node.args) >= 2):
-            bucket = bucket_of(node.args[0])
-            if bucket is None:
-                continue
-            arg = node.args[1]
-            if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-                coverage.setdefault(bucket, set()).add(arg.value)
-            elif isinstance(arg, ast.Name) and arg.id in name_loops:
-                coverage.setdefault(bucket, set()).update(name_loops[arg.id])
-    for attr in aliases.values():
-        coverage.setdefault("", set()).add(attr)
-    return coverage
-
-
-def _arrays_folds_slots(adapter: ast.ClassDef) -> bool:
-    """True when ``arrays()`` iterates ``__slots__`` (so everything
-    ``refresh`` writes lands in ``soa_digest``)."""
-    arrays = next((n for n in adapter.body
-                   if isinstance(n, ast.FunctionDef) and n.name == "arrays"),
-                  None)
-    if arrays is None:
-        return False
-    return any(isinstance(n, ast.Attribute) and n.attr == "__slots__"
-               for n in ast.walk(arrays))
-
-
-def component_inventory(sources: Optional[Mapping[str, str]] = None,
-                        ) -> Dict[str, Dict[str, FieldInfo]]:
-    """Mutable-field inventory per component class (exposed for tests
-    and the DESIGN walkthrough)."""
-    if sources is None:
-        sources = load_sources()
-    index, _ = _index(sources)
-    external = _external_writes(index)
-    inventory: Dict[str, Dict[str, FieldInfo]] = {}
-    for spec in COMPONENTS:
-        info = index.get(spec.module)
-        cls = info.classes.get(spec.cls) if info is not None else None
-        if info is None or cls is None:
-            inventory[spec.cls] = {}
-            continue
-        mutated = _class_mutations(info, cls)
-        candidates = _candidate_fields(cls)
-        for fname in candidates & external.keys():
-            rec = mutated.setdefault(fname, FieldInfo())
-            rec.external = True
-            rec.derived = False
-            for mod, line in external[fname]:
-                rec.mutated_at.append((mod, line))
-        inventory[spec.cls] = mutated
-    return inventory
-
-
-def check_state_coverage(
-        sources: Optional[Mapping[str, str]] = None, *,
-        allowlist: Optional[Mapping[Tuple[str, str], str]] = None,
-        ) -> List[Finding]:
-    """SC001/SC002: every sim-state field is SoA-covered and digested."""
-    if sources is None:
-        sources = load_sources()
-    if allowlist is None:
-        allowlist = ALLOWLIST
-    index, findings = _index(sources)
-    external = _external_writes(index)
-    mutable_by_cls: Dict[str, Set[str]] = {}
-    coverage_cache: Dict[Tuple[str, str], Dict[str, Set[str]]] = {}
-    checked_adapters: Set[Tuple[str, str]] = set()
-
-    for spec in COMPONENTS:
-        info = index.get(spec.module)
-        cls = info.classes.get(spec.cls) if info is not None else None
-        if info is None or cls is None:
-            findings.append(Finding(
-                "error", "SC001",
-                f"component {spec.cls} not found in {spec.module}; the "
-                f"COMPONENTS table is stale", _module_path(spec.module,
-                                                           sources)))
-            continue
-        mutated = _class_mutations(info, cls)
-        candidates = _candidate_fields(cls)
-        for fname in candidates & external.keys():
-            rec = mutated.setdefault(fname, FieldInfo())
-            rec.external = True
-            rec.derived = False
-            for mod, line in external[fname]:
-                rec.mutated_at.append((mod, line))
-        mutable_by_cls[spec.cls] = set(mutated)
-
-        covered: Set[str] = set()
-        if spec.adapter_module is not None:
-            key = (spec.adapter_module, spec.adapter_cls or "")
-            if key not in coverage_cache:
-                ainfo = index.get(spec.adapter_module)
-                anode = (ainfo.classes.get(spec.adapter_cls or "")
-                         if ainfo is not None else None)
-                if ainfo is None or anode is None:
-                    findings.append(Finding(
-                        "error", "SC001",
-                        f"SoA adapter {spec.adapter_cls} not found in "
-                        f"{spec.adapter_module}",
-                        _module_path(spec.adapter_module, sources)))
-                    coverage_cache[key] = {"": set()}
-                else:
-                    coverage_cache[key] = _adapter_coverage(ainfo, anode)
-                    if key not in checked_adapters:
-                        checked_adapters.add(key)
-                        if not _arrays_folds_slots(anode):
-                            findings.append(Finding(
-                                "error", "SC001",
-                                f"{spec.adapter_cls}.arrays() does not "
-                                f"iterate __slots__: refreshed state can "
-                                f"escape soa_digest",
-                                _module_path(spec.adapter_module, sources)))
-            covered = coverage_cache[key].get(spec.via or "", set())
-
-        for fname in sorted(mutated):
-            rec = mutated[fname]
-            if rec.derived or fname in covered:
-                continue
-            if (spec.cls, fname) in allowlist:
-                continue
-            where = sorted(set(rec.mutated_at))[0]
-            adapter = (f"{spec.adapter_cls}.refresh"
-                       if spec.adapter_cls else "any SoA adapter")
-            findings.append(Finding(
-                "error", "SC001",
-                f"sim-state field {spec.cls}.{fname} is mutated but not "
-                f"captured by {adapter}: the SoA state image will drift "
-                f"silently; cover it, mark every mutation "
-                f"'# {DERIVED_PRAGMA}', or allowlist it with a reason",
-                f"{_module_path(where[0], sources)}:{where[1]}"))
-
-    for (cls_name, fname), _reason in sorted(allowlist.items()):
-        if fname not in mutable_by_cls.get(cls_name, set()):
-            findings.append(Finding(
-                "error", "SC002",
-                f"stale allowlist entry {cls_name}.{fname}: no such "
-                f"mutable field — remove the entry so the table tracks "
-                f"the code", f"{cls_name}.{fname}"))
-    return findings
 
 
 # ---------------------------------------------------------------------------
@@ -993,6 +483,18 @@ class _PurityAnalyzer:
         self._walk(node.body, new_env, sub_ctx, depth + 1)
 
 
+def _assign_targets(node: ast.stmt) -> List[ast.expr]:
+    if isinstance(node, ast.Assign):
+        out: List[ast.expr] = []
+        for t in node.targets:
+            out.extend(t.elts if isinstance(t, (ast.Tuple, ast.List))
+                       else [t])
+        return out
+    if isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        return [node.target]
+    return []
+
+
 def _stmt_exprs(stmt: ast.stmt) -> List[ast.expr]:
     """The expressions evaluated *by* a statement itself (compound
     bodies are walked separately, so calls are scanned exactly once)."""
@@ -1050,66 +552,13 @@ def check_observer_purity(sources: Optional[Mapping[str, str]] = None,
     return findings
 
 
-# ---------------------------------------------------------------------------
-# combined front end
-# ---------------------------------------------------------------------------
-
-@dataclass
-class StateStats:
-    """Counts the CLI report surfaces (what the analysis covered)."""
-
-    modules: int = 0
-    components: int = 0
-    sim_state_fields: int = 0
-    covered_fields: int = 0
-    allowlisted_fields: int = 0
-    derived_fields: int = 0
-    observer_entries: int = 0
-
-
-def state_stats(sources: Optional[Mapping[str, str]] = None) -> StateStats:
-    """Coverage statistics of one analysis run (for the CLI report)."""
-    if sources is None:
-        sources = load_sources()
-    inventory = component_inventory(sources)
-    stats = StateStats(
-        modules=len(sources),
-        components=len(COMPONENTS),
-        observer_entries=sum(len(s.entries) for s in OBSERVERS),
-    )
-    for spec in COMPONENTS:
-        mutated = inventory.get(spec.cls, {})
-        for fname, rec in mutated.items():
-            if rec.derived:
-                stats.derived_fields += 1
-            elif (spec.cls, fname) in ALLOWLIST:
-                stats.allowlisted_fields += 1
-            else:
-                stats.covered_fields += 1
-            stats.sim_state_fields += 1
-    return stats
-
-
-def check_state(sources: Optional[Mapping[str, str]] = None,
-                ) -> List[Finding]:
-    """Both analyses over one source tree (default: ``src/repro``)."""
-    if sources is None:
-        sources = load_sources()
-    return check_state_coverage(sources) + check_observer_purity(sources)
-
-
-def render_state_report(findings: Sequence[Finding],
-                        stats: StateStats) -> str:
+def render_state_report(findings: Sequence[Finding], modules: int) -> str:
     """Deterministic text report for ``repro-hbm check --state``."""
     from .findings import render
+    entries = sum(len(spec.entries) for spec in OBSERVERS)
     lines = [
-        f"state analyzer: {stats.modules} modules, "
-        f"{stats.components} component classes",
-        f"  state coverage: {stats.sim_state_fields} mutable fields "
-        f"({stats.covered_fields} SoA-covered, "
-        f"{stats.allowlisted_fields} allowlisted, "
-        f"{stats.derived_fields} derived)",
-        f"  observer purity: {stats.observer_entries} entry points traced "
+        f"state analyzer: {modules} modules",
+        f"  observer purity: {entries} entry points traced "
         f"interprocedurally",
     ]
     if findings:
@@ -1118,6 +567,6 @@ def render_state_report(findings: Sequence[Finding],
         lines.append(f"state check: {len(findings)} finding(s), "
                      f"{errors} error(s)")
     else:
-        lines.append("state check: engine tiers cannot silently drift "
+        lines.append("state check: observers write no simulation state "
                      "(no findings)")
     return "\n".join(lines)

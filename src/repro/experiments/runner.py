@@ -188,9 +188,10 @@ def _cmd_check(args) -> tuple:
         chunks.append(f"determinism lint: {len(findings)} finding(s)")
     if args.state or args.all:
         from ..check import statecheck as state_mod
-        findings = state_mod.check_state()
-        chunks.append(state_mod.render_state_report(
-            findings, state_mod.state_stats()))
+        from ..check.astutil import load_sources
+        sources = load_sources()
+        findings = state_mod.check_observer_purity(sources)
+        chunks.append(state_mod.render_state_report(findings, len(sources)))
         json_findings.extend(findings)
         ok = ok and not any(f.severity == "error" for f in findings)
     if args.json:
@@ -280,10 +281,10 @@ def _cmd_run(keys: List[str], cycles: Optional[int]) -> str:
     errors = [f for key in keys
               for f in static_mod.check_experiment(key, cycles)
               if f.severity == "error"]
-    # The state analyzer gates too: an uncovered sim-state field or an
-    # impure observer means the engine tiers can silently diverge, which
-    # would poison every number the run produces.
-    errors.extend(f for f in state_mod.check_state()
+    # The observer-purity analyzer gates too: an observer that writes
+    # simulation state makes sanitized or sampled runs diverge from plain
+    # ones, which would poison every number the run produces.
+    errors.extend(f for f in state_mod.check_observer_purity()
                   if f.severity == "error")
     if errors:
         raise ConfigError(
@@ -400,9 +401,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_check.add_argument("--lint", action="store_true",
                          help="run the determinism lint over the sources")
     p_check.add_argument("--state", action="store_true",
-                         help="run the state-coverage / observer-purity "
-                              "analyzer over the sources "
-                              "(also included in --all)")
+                         help="run the observer-purity analyzer over the "
+                              "sources (also included in --all)")
     p_check.add_argument("--json", action="store_true",
                          help="emit findings as JSON instead of text")
     p_check.add_argument("--cycles", type=int, default=None,

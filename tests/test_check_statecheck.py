@@ -1,15 +1,14 @@
-"""Tests of the state-coverage / observer-purity analyzer.
+"""Tests of the observer-purity analyzer.
 
 Two layers:
 
-* **clean-tree gates** — the shipped sources must pass both analyses
+* **clean-tree gate** — the shipped sources must pass the analysis
   (this is the same property ``repro-hbm check --state`` and run
   pre-validation enforce);
-* **seeded mutations** — copies of the *real* sources with a synthetic
-  uncovered field or a hidden observer write injected must be flagged
-  with the right SC00x code.  This proves the analyzer detects the bug
-  classes it exists for, not merely that the current tree happens to be
-  quiet.
+* **seeded mutations** — copies of the *real* sources with a hidden
+  observer write injected must be flagged as SC003.  This proves the
+  analyzer detects the bug class it exists for, not merely that the
+  current tree happens to be quiet.
 """
 
 from __future__ import annotations
@@ -20,11 +19,7 @@ import pytest
 
 from repro.check.astutil import dotted, load_sources, module_name
 from repro.check.findings import render_json
-from repro.check.statecheck import (ALLOWLIST, DERIVED_PRAGMA,
-                                    check_observer_purity, check_state,
-                                    check_state_coverage,
-                                    component_inventory, render_state_report,
-                                    state_stats)
+from repro.check.statecheck import check_observer_purity, render_state_report
 
 
 @pytest.fixture(scope="module")
@@ -45,94 +40,18 @@ def _codes(findings):
     return sorted({f.code for f in findings})
 
 
-# -- clean-tree gates ---------------------------------------------------------
-
-def test_shipped_tree_state_coverage_clean(sources):
-    findings = check_state_coverage(sources)
-    assert findings == [], "\n".join(str(f) for f in findings)
-
+# -- clean-tree gate ----------------------------------------------------------
 
 def test_shipped_tree_observers_pure(sources):
     findings = check_observer_purity(sources)
     assert findings == [], "\n".join(str(f) for f in findings)
 
 
-def test_inventory_sees_the_known_hot_state(sources):
-    """Spot-check the inventory against fields the engine demonstrably
-    mutates every cycle — if these vanish, the analyzer went blind and
-    the clean-tree gates above prove nothing."""
-    inv = component_inventory(sources)
-    assert "open_row" in inv["BankSet"]
-    assert "accepts" in inv["MemoryController"]
-    assert "pending_in" in inv["ArbOutput"]
-    assert "outstanding" in inv["MasterPort"]
-    assert "txns_serviced" in inv["PchCounters"]
-    # The derived pragma is honored: exhausted is recomputed, not state.
-    assert inv["MasterPort"]["exhausted"].derived
-
-
 def test_report_renders_stats_and_verdict(sources):
-    text = render_state_report(check_state(sources), state_stats(sources))
-    assert "component classes" in text
-    assert "cannot silently drift" in text
-
-
-# -- SC001: uncovered sim-state field -----------------------------------------
-
-def test_sc001_synthetic_field_is_flagged(sources):
-    src = dict(sources)
-    src["repro.dram.controller"] = _inject_method(
-        src["repro.dram.controller"], "MemoryController",
-        "    def _sc_mutate(self) -> None:\n"
-        "        self.shadow_meter = 1\n")
-    findings = check_state_coverage(src)
-    assert _codes(findings) == ["SC001"]
-    assert "MemoryController.shadow_meter" in findings[0].message
-    assert findings[0].location.startswith("repro/dram/controller.py:")
-
-
-def test_sc001_derived_pragma_exempts_the_field(sources):
-    src = dict(sources)
-    src["repro.dram.controller"] = _inject_method(
-        src["repro.dram.controller"], "MemoryController",
-        "    def _sc_mutate(self) -> None:\n"
-        f"        self.shadow_meter = 1  # {DERIVED_PRAGMA}\n")
-    assert check_state_coverage(src) == []
-
-
-def test_sc001_pragma_must_cover_every_mutation_site(sources):
-    """One pragma'd line does not launder a second, bare mutation."""
-    src = dict(sources)
-    src["repro.dram.controller"] = _inject_method(
-        src["repro.dram.controller"], "MemoryController",
-        "    def _sc_mutate(self) -> None:\n"
-        f"        self.shadow_meter = 1  # {DERIVED_PRAGMA}\n"
-        "        self.shadow_meter = 2\n")
-    assert _codes(check_state_coverage(src)) == ["SC001"]
-
-
-def test_sc001_external_write_counts_as_mutation(sources):
-    """A module-level helper poking a component field from outside the
-    class is state mutation too (that is how the fault injector and the
-    engine's drain flag work)."""
-    src = dict(sources)
-    src["repro.dram.controller"] = src["repro.dram.controller"].replace(
-        "        self.accepts = 0",
-        "        self.accepts = 0\n"
-        "        self.shadow_meter2 = 0", 1) + (
-        "\n\ndef _sc_poke(mc):\n"
-        "    mc.shadow_meter2 = 7\n")
-    findings = check_state_coverage(src)
-    assert _codes(findings) == ["SC001"]
-    assert "shadow_meter2" in findings[0].message
-
-
-def test_sc002_stale_allowlist_entry(sources):
-    allow = dict(ALLOWLIST)
-    allow[("Fifo", "ghost_field")] = "left over from a refactor"
-    findings = check_state_coverage(sources, allowlist=allow)
-    assert _codes(findings) == ["SC002"]
-    assert "Fifo.ghost_field" in findings[0].message
+    text = render_state_report(check_observer_purity(sources), len(sources))
+    assert f"state analyzer: {len(sources)} modules" in text
+    assert "entry points traced interprocedurally" in text
+    assert "observers write no simulation state" in text
 
 
 # -- SC003: observer purity ---------------------------------------------------
@@ -206,19 +125,23 @@ def test_sc003_stale_observer_table_is_an_error(sources):
 def test_syntax_error_becomes_sc000(sources):
     src = dict(sources)
     src["repro.fabric.links"] = "def broken(:\n"
-    findings = check_state(src)
+    findings = check_observer_purity(src)
     assert any(f.code == "SC000" for f in findings)
 
 
 def test_render_json_is_sorted_and_parseable(sources):
     import json
     src = dict(sources)
-    src["repro.dram.controller"] = _inject_method(
-        src["repro.dram.controller"], "MemoryController",
-        "    def _sc_mutate(self) -> None:\n"
-        "        self.shadow_meter = 1\n")
-    payload = json.loads(render_json(check_state_coverage(src)))
-    assert payload and payload[0]["code"] == "SC001"
+    san = _inject_method(
+        src["repro.check.sanitizer"], "Sanitizer",
+        "    def _sc_evil(self, cycle: int) -> None:\n"
+        "        self.engine.cycle = -1\n")
+    src["repro.check.sanitizer"] = san.replace(
+        "        if self._track_lanes and txn.is_read:",
+        "        self._sc_evil(cycle)\n"
+        "        if self._track_lanes and txn.is_read:", 1)
+    payload = json.loads(render_json(check_observer_purity(src)))
+    assert payload and payload[0]["code"] == "SC003"
     assert set(payload[0]) == {"severity", "code", "message", "location"}
 
 
@@ -234,5 +157,5 @@ def test_dotted_sees_through_calls():
 
 def test_module_name_mapping(tmp_path):
     root = tmp_path / "repro"
-    assert module_name(root / "dram" / "soa.py", root) == "repro.dram.soa"
+    assert module_name(root / "dram" / "pch.py", root) == "repro.dram.pch"
     assert module_name(root / "check" / "__init__.py", root) == "repro.check"

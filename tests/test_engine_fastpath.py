@@ -5,18 +5,25 @@ be an *optimization, never a model change*: for every configuration the
 :class:`~repro.sim.stats.SimReport` must be **bit-identical** to the
 legacy strictly per-cycle loop — same Welford latency moments (which are
 float-order-sensitive, so even completion *ordering* must match), same
-byte counters, same histograms.  These tests enforce that claim over a
-grid of fabric × pattern × direction × outstanding configurations, plus
-the drain/deadlock edge cases.
+byte counters, same histograms — and the model itself must end in the
+same state, which :func:`state_digest` fingerprints.  These tests
+enforce that claim over a grid of fabric × pattern × direction ×
+outstanding configurations, plus the drain/deadlock edge cases.
 """
 
 from __future__ import annotations
 
 import gc
+import hashlib
+import types
 import weakref
+from collections import deque
+from enum import Enum
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.axi.transaction import AxiTransaction
 from repro.dram.controller import SchedulerConfig
 from repro.errors import SimulationError
 from repro.fabric import IdealFabric, MaoFabric, SegmentedFabric
@@ -89,28 +96,106 @@ FAULT_GRID = [
 
 
 def _run(small_platform, fabric_key, pattern, rw, outstanding, engine,
-         cycles=1200, warmup=300, faults=None, **cfg_kw):
+         cycles=1200, warmup=300, faults=None, seed=0, **cfg_kw):
     fabric = FABRICS[fabric_key](small_platform)
     sources = make_pattern_sources(
         pattern, small_platform, burst_len=8, rw=rw,
-        address_map=fabric.address_map)
+        address_map=fabric.address_map, seed=seed)
     cfg = SimConfig(cycles=cycles, warmup=warmup, outstanding=outstanding,
                     engine=engine, **cfg_kw)
     eng = Engine(fabric, sources, cfg, faults=faults)
     return eng, eng.run()
 
 
+#: Values hashed whole, by type and ``repr`` (floats repr exactly).
+_LEAVES = (type(None), int, float, str, Enum)
+
+
+def _fields(obj):
+    """``(name, value)`` of every set instance field of ``obj`` —
+    ``__slots__`` up the MRO, then ``__dict__`` — or ``None`` when the
+    object keeps no Python-level fields (numpy arrays, generators)."""
+    names = []
+    for cls in reversed(type(obj).__mro__):
+        slots = cls.__dict__.get("__slots__", ())
+        names += [slots] if isinstance(slots, str) else slots
+    state = getattr(obj, "__dict__", None)
+    if not names and state is None:
+        return None
+    skip = {"__dict__", "__weakref__"}
+    if isinstance(obj, AxiTransaction):
+        skip.add("uid")
+    fields = [(n, getattr(obj, n)) for n in names
+              if n not in skip and hasattr(obj, n)]
+    if state is not None:
+        fields += sorted(state.items())
+    return fields
+
+
+def state_digest(*roots) -> str:
+    """SHA-256 fingerprint of all model state reachable from ``roots``.
+
+    A depth-first walk over ``__slots__``/``__dict__`` fields and the
+    contents of lists, tuples, deques and dicts.  Leaves hash by type
+    and ``repr``; objects without Python-level fields (numpy arrays and
+    generators) hash through their pickle reduction.  An object met a
+    second time hashes as a back-reference to its first visit, so
+    shared and cyclic structure is walked once and its sharing is part
+    of the digest.  Three things are skipped: callables (hooks and
+    completion callbacks), weak proxies (the controller→fabric wiring)
+    and ``AxiTransaction.uid``, which numbers transactions from a
+    process-global counter.
+    """
+    out = []
+    seen = {}  # id -> (visit ordinal, object); holding the object pins its id
+    stack = [("", root) for root in reversed(roots)]
+    while stack:
+        label, obj = stack.pop()
+        if callable(obj) or type(obj) in weakref.ProxyTypes:
+            token = "~"
+        elif isinstance(obj, bytes):  # array buffers: hash, don't repr
+            token = "bytes:" + hashlib.sha256(obj).hexdigest()
+        elif isinstance(obj, _LEAVES):
+            token = f"{type(obj).__name__}:{obj!r}"
+        elif id(obj) in seen:
+            token = f"@{seen[id(obj)][0]}"
+        else:
+            seen[id(obj)] = (len(seen), obj)
+            if isinstance(obj, (list, tuple, deque)):
+                children = [("", item) for item in obj]
+            elif isinstance(obj, dict):
+                children = [(tag, x) for item in obj.items()
+                            for tag, x in zip("kv", item)]
+            else:
+                fields = _fields(obj)
+                children = ([("." + n, v) for n, v in fields]
+                            if fields is not None
+                            else [("reduce", obj.__reduce_ex__(4))])
+            token = f"{type(obj).__qualname__}[{len(children)}]"
+            stack.extend(reversed(children))
+        out.append(f"{label}{token};")
+    return hashlib.sha256("".join(out).encode()).hexdigest()
+
+
+def _model_digest(engine):
+    return state_digest(engine.fabric, engine.masters)
+
+
 def _both_tiers(small_platform, fabric_key, pattern, rw, outstanding,
                 **kw):
-    """Run both tiers; diff the fast report against the legacy oracle."""
-    reports = {
+    """Run both tiers; diff the fast report and the fast model state
+    against the legacy oracle."""
+    runs = {
         engine: _run(small_platform, fabric_key, pattern, rw, outstanding,
-                     engine, **kw)[1]
+                     engine, **kw)
         for engine in ENGINE_TIERS
     }
-    legacy = reports["legacy"]
-    assert reports["fast"] == legacy, "fast != legacy"
-    return legacy
+    (fast, fast_report), (legacy, legacy_report) = (runs["fast"],
+                                                    runs["legacy"])
+    assert fast_report == legacy_report, "fast != legacy"
+    assert _model_digest(fast) == _model_digest(legacy), \
+        "fast model state != legacy model state"
+    return legacy_report
 
 
 @pytest.mark.parametrize("fabric_key,pattern,rw,outstanding", GRID,
@@ -141,6 +226,83 @@ def test_engines_bit_identical_under_faults(small_platform, fabric_key,
         assert report.nacks > 0
 
 
+@given(fabric_key=st.sampled_from(sorted(FABRICS)),
+       pattern=st.sampled_from((Pattern.SCS, Pattern.CCS, Pattern.SCRA,
+                                Pattern.CCRA)),
+       rw=st.sampled_from((TWO_TO_ONE, READ_ONLY, RWRatio(1, 1))),
+       seed=st.integers(0, 2 ** 16),
+       cycles=st.sampled_from((200, 400, 700)))
+@settings(max_examples=8, deadline=None)
+def test_engines_land_on_identical_state_digests(small_platform, fabric_key,
+                                                 pattern, rw, seed, cycles):
+    """From any configuration, the fast path's skipping must leave the
+    model in exactly the state the per-cycle loop reaches."""
+    _both_tiers(small_platform, fabric_key, pattern, rw, 8, cycles=cycles,
+                warmup=cycles // 4, seed=seed)
+
+
+def _numeric_fields(*roots):
+    """``(owner, name)`` of every int/float field of every non-enum
+    object reachable from ``roots``.
+
+    Reachability comes from the interpreter's own reference traversal
+    (``gc.get_referents``) and field names from the classes' slot
+    descriptors plus the instance ``__dict__``, so a blind spot in
+    :func:`state_digest`'s walker cannot hide itself here.
+    """
+    found, seen, todo = [], set(), list(roots)
+    while todo:
+        obj = todo.pop()
+        if (id(obj) in seen or type(obj) in weakref.ProxyTypes
+                or callable(obj) or isinstance(obj, Enum)):
+            continue
+        seen.add(id(obj))
+        todo.extend(gc.get_referents(obj))
+        names = [name for cls in type(obj).__mro__
+                 for name, attr in vars(cls).items()
+                 if isinstance(attr, types.MemberDescriptorType)]
+        names += list(getattr(obj, "__dict__", ()))
+        for name in dict.fromkeys(names):
+            value = getattr(obj, name, None)
+            if (isinstance(value, (int, float))
+                    and not (isinstance(obj, AxiTransaction)
+                             and name == "uid")):
+                found.append((obj, name))
+    return found
+
+
+#: Faults early enough for a 200-cycle run to carry per-channel fault
+#: state and a degrade remap.
+EARLY_FAULTS = FaultPlan(
+    [FaultEvent(FaultKind.PCH_SLOW, at=60, pch=1, duration=400, factor=3.0),
+     FaultEvent(FaultKind.DATA_CORRUPT, at=80, duration=400, rate=0.05),
+     FaultEvent(FaultKind.PCH_OFFLINE, at=100, pch=2)],
+    degrade=True, seed=7, dbit_fraction=0.3)
+
+
+@pytest.mark.parametrize("fabric_key", sorted(FABRICS))
+def test_state_digest_covers_every_numeric_field(small_platform,
+                                                  fabric_key):
+    """Adding 1 to any int/float field anywhere in the model changes the
+    digest, so the cross-tier state comparison has no blind field."""
+    eng, _ = _run(small_platform, fabric_key, Pattern.CCRA, TWO_TO_ONE, 2,
+                  "fast", cycles=200, warmup=50, faults=EARLY_FAULTS)
+    before = _model_digest(eng)
+    fields = _numeric_fields(eng.fabric, eng.masters)
+    blind = []
+    for owner, name in fields:
+        value = getattr(owner, name)
+        object.__setattr__(owner, name, value + 1)
+        try:
+            if _model_digest(eng) == before:
+                blind.append(f"{type(owner).__qualname__}.{name}")
+        finally:
+            object.__setattr__(owner, name, value)
+    assert _model_digest(eng) == before
+    assert len(fields) > 300  # the enumeration itself has not gone blind
+    assert blind == []
+
+
 def test_fast_path_actually_skips_cycles(small_platform):
     """Sanity: the low-intensity latency scenario has idle stretches the
     fast path must exploit (otherwise it silently degraded to legacy)."""
@@ -169,12 +331,12 @@ def test_optimized_tiers_jump_starvation_window(small_platform):
     refused staged deque cannot move until a scheduler pop, so the fast
     tier jumps the starvation window instead of grinding it."""
     stepped = {}
-    reports = {}
+    runs = {}
     for engine in ENGINE_TIERS:
         eng = _starved_mao(small_platform, engine)
-        reports[engine] = eng.run()
+        runs[engine] = (eng.run(), _model_digest(eng))
         stepped[engine] = eng.stepped_cycles
-    assert reports["fast"] == reports["legacy"]
+    assert runs["fast"] == runs["legacy"]
     assert stepped["fast"] < stepped["legacy"] / 4
 
 
@@ -209,8 +371,9 @@ WRITE_ONLY = RWRatio(0, 1)
 
 def _hotspot_tiers(small_platform, fabric_key, rw, plan=None, sched=None,
                    cycles=1600):
-    """Hot-spot traffic on PCH 0 under every tier; the reports must agree."""
-    reports = {}
+    """Hot-spot traffic on PCH 0 under every tier; the reports and the
+    model states must agree."""
+    runs = {}
     for engine in ENGINE_TIERS:
         fabric = FABRICS[fabric_key](small_platform, sched=sched)
         sources = make_hotspot_sources(
@@ -218,8 +381,9 @@ def _hotspot_tiers(small_platform, fabric_key, rw, plan=None, sched=None,
             address_map=fabric.address_map)
         cfg = SimConfig(cycles=cycles, warmup=300, outstanding=16,
                         engine=engine)
-        reports[engine] = Engine(fabric, sources, cfg, faults=plan).run()
-    assert reports["fast"] == reports["legacy"], "fast != legacy"
+        eng = Engine(fabric, sources, cfg, faults=plan)
+        runs[engine] = (eng.run(), _model_digest(eng))
+    assert runs["fast"] == runs["legacy"], "fast != legacy"
 
 
 def test_ideal_link_stall_with_staged_work(small_platform):
@@ -341,15 +505,15 @@ def test_lossy_subclass_is_bit_identical(small_platform):
     across tiers: the controllers' callbacks resolve through the fabric
     proxy at call time, so the subclass's ``_on_read_data`` runs on
     every tier."""
-    reports = {}
+    runs = {}
     for engine in ENGINE_TIERS:
         fabric = _LossyFabric(small_platform)
         sources = make_pattern_sources(Pattern.CCS, small_platform,
                                        burst_len=8)
         cfg = SimConfig(cycles=400, warmup=100, outstanding=8, engine=engine)
         eng = Engine(fabric, sources, cfg)
-        reports[engine] = eng.run()
-    assert reports["fast"] == reports["legacy"]
+        runs[engine] = (eng.run(), _model_digest(eng))
+    assert runs["fast"] == runs["legacy"]
 
 
 def test_engine_env_override(monkeypatch):

@@ -254,6 +254,24 @@ _CHILD_SWEEP = textwrap.dedent("""
 """)
 
 
+def _session_members(sid):
+    """PIDs of the live (non-zombie) processes in session ``sid``."""
+    members = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                stat = fh.read()
+        except OSError:  # exited while we looked
+            continue
+        # After "pid (comm)" come: state ppid pgrp session ...
+        state, _, _, session = stat[stat.rindex(")") + 2:].split()[:4]
+        if int(session) == sid and state != "Z":
+            members.append(int(entry))
+    return members
+
+
 class TestStreamingCheckpoint:
     def test_sigkilled_sweep_keeps_completed_points_on_disk(self, tmp_path):
         """Regression: cache.put used to be deferred until the whole map
@@ -265,7 +283,8 @@ class TestStreamingCheckpoint:
             [sys.executable, "-c", _CHILD_SWEEP, str(cache_dir)],
             env={**os.environ, "PYTHONPATH": "src",
                  "REPRO_SIM_CACHE": "1"},
-            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+            start_new_session=True)
         try:
             deadline = time.monotonic() + 60.0
             while time.monotonic() < deadline:
@@ -278,7 +297,19 @@ class TestStreamingCheckpoint:
                 pytest.fail("no checkpointed entries appeared within 60s")
             proc.send_signal(signal.SIGKILL)
         finally:
+            # The pool workers outlive their SIGKILLed parent as orphans;
+            # the child leads its own session, so killing its process
+            # group takes them down too.
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
             proc.wait(timeout=30)
+            deadline = time.monotonic() + 10.0
+            while (_session_members(proc.pid)
+                   and time.monotonic() < deadline):
+                time.sleep(0.05)
+            assert _session_members(proc.pid) == []
         survivors = list(cache_dir.glob("*.pkl"))
         assert len(survivors) >= 3
         for path in survivors:  # atomic writes: every survivor loads
