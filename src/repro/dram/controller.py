@@ -21,6 +21,14 @@ Write responses are *posted*: the B handshake is generated when the write
 is accepted into a scheduler queue (the Xilinx controller acknowledges
 bufferable writes early); flow control still applies because the queues
 are bounded.
+
+Read data needs room on the way back.  A fabric with bounded response
+FIFOs hands the controller each fronted PCH's FIFO as data; a read is
+only picked while that FIFO's occupancy plus the PCH's booked-but-
+undelivered reads is below its capacity.  The controller counts those
+booked reads per PCH as it books and delivers them, so the test is
+O(1).  Fabrics that accept read data unconditionally (the MAO's reorder
+buffers, the ideal fabric) pass no FIFOs.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Any, Callable, List, Optional, Sequence
 
 from ..axi.transaction import AxiTransaction
 from ..errors import ConfigError
@@ -38,8 +46,6 @@ from .pch import PseudoChannel
 
 #: Callback signature: (txn, time) for completed read data / accepted write.
 CompletionFn = Callable[[AxiTransaction, float], None]
-#: Callback telling the fabric whether a PCH's response path has space.
-SpaceFn = Callable[[int], bool]
 
 
 @dataclass(frozen=True)
@@ -80,7 +86,15 @@ class SchedulerConfig:
 
 
 class MemoryController:
-    """One memory controller fronting ``len(pchs)`` pseudo-channels."""
+    """One memory controller fronting ``len(pchs)`` pseudo-channels.
+
+    ``response_fifos`` gives, in ``pchs`` order, the read-data FIFO each
+    fronted PCH returns into (anything with ``items`` and ``capacity``,
+    in practice a :class:`~repro.fabric.links.Fifo`), or is ``None`` when
+    the fabric accepts read data unconditionally.  The scheduler reads
+    the FIFOs' occupancy; it never pushes into them — delivered read
+    data still goes through ``on_read_data``.
+    """
 
     def __init__(
         self,
@@ -91,7 +105,7 @@ class MemoryController:
         *,
         on_read_data: CompletionFn,
         on_write_accept: CompletionFn,
-        response_space: SpaceFn,
+        response_fifos: Optional[Sequence[Any]] = None,
         mc_latency: int = 0,
         on_nack: Optional[CompletionFn] = None,
     ) -> None:
@@ -101,7 +115,10 @@ class MemoryController:
         self.sched = sched
         self.on_read_data = on_read_data
         self.on_write_accept = on_write_accept
-        self.response_space = response_space
+        #: Per local PCH: its bounded response FIFO, or ``None``.
+        self.response_fifos: List[Any] = (
+            list(response_fifos) if response_fifos is not None
+            else [None] * len(pchs))
         self.mc_latency = mc_latency
         #: Bounce path for requests that hit an offline pseudo-channel
         #: (wired by the fabric; used only under a degradation policy).
@@ -116,6 +133,8 @@ class MemoryController:
         self.queues: List[List[AxiTransaction]] = [[] for _ in pchs]
         #: Pending read-data events: (exit_time, seq, txn, local_pch_idx).
         self._pending: List[tuple] = []
+        #: Per local PCH: how many of :attr:`_pending` are its reads.
+        self._pending_reads: List[int] = [0] * len(pchs)
         self._seq = 0
         self.accepts = 0
         #: Last cycle a scheduler pop shrank one of :attr:`queues` (-1:
@@ -183,7 +202,7 @@ class MemoryController:
             # Inlined pch.ready_for_service(cycle, s.horizon) — this loop
             # runs every cycle for every pseudo-channel.
             while q and pch.bus_free < commit_horizon:
-                idx = self._pick(q, pch, cycle)
+                idx = self._pick(q, pch, li, cycle)
                 if idx is None:
                     break
                 txn = q.pop(idx)
@@ -193,17 +212,19 @@ class MemoryController:
                 self.cmd_free = base + self.timing.cmd_cycles_per_txn
                 if txn.is_read:
                     self._seq += 1
+                    self._pending_reads[li] += 1
                     heapq.heappush(
                         self._pending,
                         (exit_time + self.mc_latency, self._seq, txn, li))
 
-    def _pick(self, q: List[AxiTransaction], pch: PseudoChannel,
+    def _pick(self, q: List[AxiTransaction], pch: PseudoChannel, li: int,
               cycle: int) -> Optional[int]:
         """FR-FCFS-style pick inside the reorder window.
 
-        Returns the queue index to service, or ``None`` if nothing is
-        eligible (e.g. the response path is full for every candidate read,
-        or both direction gates are exhausted).
+        ``li`` is ``pch``'s local index.  Returns the queue index to
+        service, or ``None`` if nothing is eligible (e.g. the response path
+        is full for every candidate read, or both direction gates are
+        exhausted).
         """
         s = self.sched
         banks = pch.banks
@@ -215,7 +236,11 @@ class MemoryController:
         # have more than ``reorder_depth`` entries inside the window.
         track_order = s.reorder_depth < limit
         seen: dict = {} if track_order else None
-        resp_ok: Optional[bool] = None
+        # Room for one more read's data: the FIFO's occupancy plus the
+        # reads already booked to land in it.
+        fifo = self.response_fifos[li]
+        resp_ok = fifo is None or (
+            len(fifo.items) + self._pending_reads[li] < fifo.capacity)
         gate_ok = [None, None]  # cached per direction
         max_score = s.hit_bonus + s.dir_bonus
         read_dir = Direction.READ
@@ -234,11 +259,8 @@ class MemoryController:
                 ok = gate_ok[d] = pch.channel_open(is_read, cycle)
             if not ok:
                 continue
-            if is_read:
-                if resp_ok is None:
-                    resp_ok = self.response_space(pch.index)
-                if not resp_ok:
-                    continue
+            if is_read and not resp_ok:
+                continue
             score = 0
             if banks.would_hit(txn.local):
                 score += s.hit_bonus
@@ -255,6 +277,7 @@ class MemoryController:
         pending = self._pending
         while pending and pending[0][0] <= cycle:
             _, _, txn, li = heapq.heappop(pending)
+            self._pending_reads[li] -= 1
             self.on_read_data(txn, float(cycle))
 
     def next_event(self, cycle: int) -> float:
@@ -311,10 +334,6 @@ class MemoryController:
     def queued(self, pch_index: int) -> int:
         """Scheduler-queue depth of one fronted PCH (telemetry gauge)."""
         return len(self.queues[self.local_index(pch_index)])
-
-    def pending_reads(self, pch_index: int) -> int:
-        """Read-data events booked but not yet delivered for a PCH."""
-        return sum(1 for item in self._pending if self.pchs[item[3]].index == pch_index)
 
     def in_flight(self) -> int:
         """Transactions buffered anywhere inside this controller."""

@@ -23,13 +23,14 @@ import heapq
 import math
 import weakref
 from collections import deque
-from typing import Deque, List, Optional, Tuple
+from typing import Deque, List, Optional, Sequence, Tuple
 
 from ..axi.transaction import AxiTransaction, STATUS_NACK
 from ..core.address_map import AddressMap
 from ..dram.controller import MemoryController, SchedulerConfig
 from ..dram.pch import PseudoChannel
 from ..params import HbmPlatform
+from .links import Fifo
 
 
 class BaseFabric:
@@ -48,7 +49,11 @@ class BaseFabric:
         platform: HbmPlatform,
         address_map: AddressMap,
         sched: Optional[SchedulerConfig] = None,
+        response_fifos: Optional[Sequence[Fifo]] = None,
     ) -> None:
+        """``response_fifos``: one bounded read-data FIFO per PCH, handed
+        to the controllers so reads wait for room; ``None`` when the
+        fabric accepts read data unconditionally."""
         self.platform = platform
         self.address_map = address_map
         self.sched = sched or SchedulerConfig()
@@ -78,13 +83,14 @@ class BaseFabric:
         # gc frees, and a finished fabric is then freed by refcounting.
         me = weakref.proxy(self)
         for m in range(self.num_mcs):
-            group = self.pchs[m * platform.pch_per_mc:(m + 1) * platform.pch_per_mc]
+            lo, hi = m * platform.pch_per_mc, (m + 1) * platform.pch_per_mc
             self.mcs.append(MemoryController(
-                m, group, t, self.sched,
+                m, self.pchs[lo:hi], t, self.sched,
                 on_read_data=lambda txn, time: me._on_read_data(txn, time),
                 on_write_accept=lambda txn, time: me._on_write_accept(
                     txn, time),
-                response_space=lambda pch: me._response_space(pch),
+                response_fifos=(None if response_fifos is None
+                                else response_fifos[lo:hi]),
                 mc_latency=platform.fabric.mc_latency,
                 on_nack=lambda txn, time: me._on_nack(txn, time),
             ))
@@ -173,9 +179,6 @@ class BaseFabric:
         raise NotImplementedError
 
     def _on_write_accept(self, txn: AxiTransaction, time: float) -> None:
-        raise NotImplementedError
-
-    def _response_space(self, pch: int) -> bool:
         raise NotImplementedError
 
     # -- shared helpers ----------------------------------------------------------

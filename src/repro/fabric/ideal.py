@@ -103,6 +103,3 @@ class IdealFabric(BaseFabric):
 
     def _on_write_accept(self, txn: AxiTransaction, time: float) -> None:
         self._schedule_completion(txn, time + 1)
-
-    def _response_space(self, pch: int) -> bool:
-        return True

@@ -15,6 +15,14 @@ The fabrics are built from two primitives:
   turnaround — the "additional dead cycles for bus multiplexing" the paper
   identifies as a contention source.
 
+Each output counts the flits routed to it in two ways, both kept by
+:class:`Fifo` wherever a flit enters or leaves a queue: ``pending_in``
+(anywhere in an input FIFO) and ``ready_in`` (at the *head* of one).
+``pending_in == 0`` means there is nothing to arbitrate;
+``ready_in == 0`` with work pending is head-of-line blocking — every flit
+for this output sits behind another output's head — and the output
+records its grant stall without scanning its inputs.
+
 Backpressure is credit-based: a grant is only issued when the destination
 FIFO has a free slot, which the output reserves until delivery.  Every
 destination FIFO is fed by exactly one :class:`ArbOutput` (a structural
@@ -117,16 +125,35 @@ class Fifo:
         return self.items[0] if self.items else None
 
     def append(self, flit: Flit) -> None:
-        if self.full:
+        items = self.items
+        if len(items) >= self.capacity:
             raise SimulationError(f"overflow on fifo {self.name!r}")
-        self.items.append(flit)
         # Book the flit with the output that must grant it next, so idle
-        # outputs can skip their arbitration scan entirely.
+        # and head-of-line-blocked outputs can skip their scan.
         if flit.hop < len(flit.route):
-            flit.route[flit.hop].pending_in += 1
+            out = flit.route[flit.hop]
+            out.pending_in += 1
+            if not items:
+                out.ready_in += 1
+        items.append(flit)
 
     def popleft(self) -> Flit:
-        return self.items.popleft()
+        """Remove the head flit; the only way a head leaves a queue.
+
+        Un-books the flit from its next output and books the new head, so
+        every output's ``pending_in`` and ``ready_in`` stay exact.
+        """
+        items = self.items
+        flit = items.popleft()
+        if flit.hop < len(flit.route):
+            out = flit.route[flit.hop]
+            out.pending_in -= 1
+            out.ready_in -= 1
+        if items:
+            head = items[0]
+            if head.hop < len(head.route):
+                head.route[head.hop].ready_in += 1
+        return flit
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Fifo({self.name!r} {len(self.items)}/{self.capacity})"
@@ -155,7 +182,7 @@ class ArbOutput:
     __slots__ = ("name", "inputs", "dest", "latency", "rate", "dead_cycles",
                  "busy_until", "last_input", "reserved", "in_flight",
                  "granted_flits", "busy_weight", "shared", "pending_in",
-                 "grant_stalls")
+                 "ready_in", "grant_stalls")
 
     def __init__(
         self,
@@ -186,10 +213,15 @@ class ArbOutput:
         #: Total beat-weight granted (diagnostics / utilization).
         self.busy_weight: float = 0.0
         #: Flits currently buffered in input FIFOs whose next hop is this
-        #: output (maintained by :meth:`Fifo.append` and the grant logic).
-        #: Zero means an arbitration scan cannot succeed — the fast
-        #: early-out of :meth:`step`.
+        #: output (maintained by :meth:`Fifo.append` and
+        #: :meth:`Fifo.popleft`).  Zero means there is nothing to
+        #: arbitrate — the fabric does not even step the output.
         self.pending_in: int = 0
+        #: Input FIFOs whose *head* flit's next hop is this output (kept
+        #: by the same two methods).  Zero with ``pending_in`` non-zero is
+        #: head-of-line blocking: a scan cannot grant, so :meth:`step`
+        #: records the stall without one.
+        self.ready_in: int = 0
         #: Cycles a pending flit waited while this bus was *idle* —
         #: the shared lateral bus was held by the partner direction, the
         #: destination FIFO was full, or head-of-line blocking hid every
@@ -215,8 +247,8 @@ class ArbOutput:
         if self.shared is not None and self.shared.busy_until > cycle:
             self.grant_stalls += 1  # partner direction holds the lateral
             return
-        if not self._try_grant(cycle):
-            self.grant_stalls += 1  # dest backpressure / HOL blocking
+        if self.ready_in == 0 or not self._try_grant(cycle):
+            self.grant_stalls += 1  # HOL blocking / dest backpressure
 
     def _try_grant(self, cycle: int) -> bool:
         """Attempt one round-robin grant; returns whether one was issued."""
@@ -231,15 +263,15 @@ class ArbOutput:
             idx += 1
             if idx >= n:
                 idx = 0
-            items = inputs[idx].items
+            fifo = inputs[idx]
+            items = fifo.items
             if not items:
                 continue
             flit = items[0]
             if flit.route[flit.hop] is not self:
                 continue
             # Grant.
-            items.popleft()
-            self.pending_in -= 1
+            fifo.popleft()
             start = float(cycle)
             if self.last_input != idx and self.last_input != -1 and self.dead_cycles:
                 start += self.dead_cycles

@@ -253,8 +253,3 @@ class MaoFabric(BaseFabric):
 
     def _on_write_accept(self, txn: AxiTransaction, time: float) -> None:
         self._schedule_completion(txn, time + MAO_B_LATENCY)
-
-    def _response_space(self, pch: int) -> bool:
-        # The reorder buffers accept responses early; the master's
-        # outstanding-transaction credits bound the in-flight volume.
-        return True

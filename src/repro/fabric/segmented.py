@@ -56,7 +56,13 @@ class SegmentedFabric(BaseFabric):
         address_map: Optional[AddressMap] = None,
         sched: Optional[SchedulerConfig] = None,
     ) -> None:
-        super().__init__(platform, address_map or ContiguousMap(platform), sched)
+        # Each PCH's read-data landing FIFO.  The controllers get them as
+        # data: a read is only scheduled while its data has room here.
+        resp_fifo = [Fifo(RESPONSE_CAPACITY, f"resp[{p}]")
+                     for p in range(platform.num_pch)]
+        super().__init__(platform, address_map or ContiguousMap(platform),
+                         sched, response_fifos=resp_fifo)
+        self.resp_fifo = resp_fifo
         self.topology = SegmentedTopology(platform)
         ft = platform.fabric
         ns = platform.num_switches
@@ -73,8 +79,6 @@ class SegmentedFabric(BaseFabric):
         # port on the memory-controller side.
         self.mc_in = [Fifo(MC_IN_CAPACITY, f"mc_in[{i}]")
                       for i in range(platform.num_pch)]
-        self.resp_fifo = [Fifo(RESPONSE_CAPACITY, f"resp[{p}]")
-                          for p in range(platform.num_pch)]
         # Lateral hop FIFOs: [switch][side][parity].  ``side`` is the side
         # of *this* switch the bus arrives on: LEFT = from switch s-1.
         self.lat_req_in = [
@@ -365,8 +369,3 @@ class SegmentedFabric(BaseFabric):
     def _on_write_accept(self, txn: AxiTransaction, time: float) -> None:
         lat = B_RESPONSE_LATENCY + txn.hops * self.platform.fabric.lateral_hop_latency
         self._schedule_completion(txn, time + lat)
-
-    def _response_space(self, pch: int) -> bool:
-        mc = self._mc_by_pch[pch]
-        fifo = self.resp_fifo[pch]
-        return len(fifo) + mc.pending_reads(pch) < fifo.capacity

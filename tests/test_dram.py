@@ -206,22 +206,34 @@ class TestPseudoChannel:
         assert pch.utilization(0) == 0.0
 
 
+class _ResponseFifo:
+    """Stand-in for a fabric's read-data FIFO: the controller only reads
+    its occupancy (``items``) and ``capacity``."""
+
+    def __init__(self, capacity=16):
+        self.items = []
+        self.capacity = capacity
+
+    def fill(self):
+        self.items = [None] * self.capacity
+
+    def clear(self):
+        self.items = []
+
+
 class _Harness:
-    """Collects MC callbacks."""
+    """Collects MC callbacks; owns one response FIFO per PCH."""
 
     def __init__(self):
         self.read_data = []
         self.write_accepts = []
-        self.space = True
+        self.resp = [_ResponseFifo(), _ResponseFifo()]
 
     def on_read_data(self, txn, time):
         self.read_data.append((txn, time))
 
     def on_write_accept(self, txn, time):
         self.write_accepts.append((txn, time))
-
-    def response_space(self, pch):
-        return self.space
 
 
 def _mc(sched=None, harness=None, timing=None):
@@ -233,7 +245,7 @@ def _mc(sched=None, harness=None, timing=None):
         0, pchs, t, sched or SchedulerConfig(),
         on_read_data=h.on_read_data,
         on_write_accept=h.on_write_accept,
-        response_space=h.response_space,
+        response_fifos=h.resp,
         mc_latency=0)
     return mc, h
 
@@ -281,12 +293,12 @@ class TestMemoryController:
 
     def test_response_backpressure_stalls_reads(self):
         mc, h = _mc()
-        h.space = False
+        h.resp[0].fill()  # PCH 0's read data has nowhere to land
         mc.try_accept(_rd(0), 0)
         for c in range(100):
             mc.step(c)
         assert not h.read_data
-        h.space = True
+        h.resp[0].clear()
         for c in range(100, 300):
             mc.step(c)
         assert len(h.read_data) == 1

@@ -198,3 +198,55 @@ class TestArbOutput:
     def test_invalid_rate(self):
         with pytest.raises(SimulationError):
             _bus([], Fifo(1), rate=0)
+
+
+class TestEligibleHeads:
+    """``pending_in``/``ready_in`` bookkeeping and the scan it replaces."""
+
+    def _blocked_pair(self):
+        """``src`` holds a head for ``bus_b`` (its destination full) in
+        front of a flit for ``bus_a``."""
+        src, dst_a, dst_b = Fifo(8), Fifo(8), Fifo(1)
+        bus_a, bus_b = _bus([src], dst_a), _bus([src], dst_b)
+        head, behind = _flit([None]), _flit([None])
+        head.route, behind.route = (bus_b,), (bus_a,)
+        src.append(head)
+        src.append(behind)
+        return src, dst_b, bus_a, bus_b
+
+    def test_counts_follow_heads(self):
+        src, _, bus_a, bus_b = self._blocked_pair()
+        assert (bus_b.pending_in, bus_b.ready_in) == (1, 1)
+        assert (bus_a.pending_in, bus_a.ready_in) == (1, 0)
+        src.popleft()
+        assert (bus_b.pending_in, bus_b.ready_in) == (0, 0)
+        assert (bus_a.pending_in, bus_a.ready_in) == (1, 1)
+        src.popleft()
+        assert (bus_a.pending_in, bus_a.ready_in) == (0, 0)
+
+    def test_blocked_output_stalls_once_per_cycle(self):
+        """Head-of-line blocking: one grant stall per cycle, no grant."""
+        _, dst_b, bus_a, _ = self._blocked_pair()
+        dst_b.append(_flit([]))  # bus_b's head can never move
+        for c in range(10):
+            bus_a.step(c)
+        assert bus_a.ready_in == 0
+        assert bus_a.grant_stalls == 10
+        assert bus_a.granted_flits == 0
+
+    @pytest.mark.parametrize("a_first", [False, True])
+    def test_unblocked_by_another_outputs_pop(self, a_first):
+        """``bus_b``'s grant pops the head that hid ``bus_a``'s flit.
+        Stepping after ``bus_b``, ``bus_a`` grants in the same cycle;
+        stepping before it, ``bus_a`` stalls once and grants next cycle."""
+        _, _, bus_a, bus_b = self._blocked_pair()
+        order = (bus_a, bus_b) if a_first else (bus_b, bus_a)
+        for out in order:
+            out.step(0)
+        assert bus_b.granted_flits == 1
+        assert bus_a.granted_flits == (0 if a_first else 1)
+        assert bus_a.grant_stalls == (1 if a_first else 0)
+        for out in order:
+            out.step(1)
+        assert bus_a.granted_flits == 1
+        assert bus_a.busy_until == (2.0 if a_first else 1.0)

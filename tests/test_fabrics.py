@@ -11,6 +11,7 @@ from repro.params import DEFAULT_PLATFORM, HbmPlatform
 from repro.sim import Engine, SimConfig
 from repro.traffic import make_hotspot_sources, make_pattern_sources
 from repro.types import Direction, Pattern, RWRatio, TWO_TO_ONE
+from tests.test_engine_fastpath import FAULT_PLANS
 
 SMALL = HbmPlatform(num_pch=8, pch_capacity=64 * 1024 * 1024)
 
@@ -203,3 +204,61 @@ class TestHotspotBehaviour:
         rep = Engine(fab, src, SimConfig(cycles=5000, warmup=1500)).run()
         assert rep.total_gbps > 350
         assert rep.active_pchs() == 32
+
+
+def _assert_bookkeeping(fabric):
+    """Every incremental count equals a recount from scratch."""
+    for out in fabric._request_outputs + fabric._response_outputs:
+        pending = sum(1 for fifo in out.inputs for flit in fifo.items
+                      if flit.route[flit.hop] is out)
+        ready = sum(1 for fifo in out.inputs
+                    if fifo.items and fifo.items[0].route[
+                        fifo.items[0].hop] is out)
+        assert (out.pending_in, out.ready_in) == (pending, ready), out.name
+    for mc in fabric.mcs:
+        booked = [sum(1 for event in mc._pending if event[3] == li)
+                  for li in range(len(mc.pchs))]
+        assert mc._pending_reads == booked, f"mc{mc.index}"
+
+
+def _step_checked(engine):
+    """Check the bookkeeping after every fabric step of a run and drain."""
+    fabric = engine.fabric
+    real_step = fabric.step
+    steps = [0]
+
+    def checked_step(cycle):
+        real_step(cycle)
+        _assert_bookkeeping(fabric)
+        steps[0] += 1
+    fabric.step = checked_step
+    engine.run()
+    engine.drain(max_cycles=20_000)
+    return steps[0]
+
+
+class TestIncrementalCounts:
+    """The O(1) answers of the blocked polls match what a scan counts:
+    per-output eligible heads (``ArbOutput.ready_in``) and buffered flits
+    (``pending_in``), and per-PCH booked reads in each controller."""
+
+    def test_table4_ccra(self):
+        fabric = SegmentedFabric(DEFAULT_PLATFORM)
+        sources = make_pattern_sources(
+            Pattern.CCRA, DEFAULT_PLATFORM, burst_len=16, rw=TWO_TO_ONE,
+            address_map=fabric.address_map, seed=5)
+        engine = Engine(fabric, sources, SimConfig(
+            cycles=1500, warmup=300, engine="legacy"))
+        assert _step_checked(engine) > 1500
+
+    @pytest.mark.parametrize("plan_key", ["stall-offline", "offline-degrade"])
+    def test_small_platform_faults(self, plan_key):
+        fabric = SegmentedFabric(SMALL)
+        sources = make_pattern_sources(
+            Pattern.SCS, SMALL, burst_len=8, rw=TWO_TO_ONE,
+            address_map=fabric.address_map)
+        engine = Engine(fabric, sources, SimConfig(
+            cycles=1200, warmup=300, outstanding=16, engine="legacy",
+            txn_timeout_cycles=4000, progress_timeout_cycles=4000),
+            faults=FAULT_PLANS[plan_key])
+        assert _step_checked(engine) > 1200

@@ -151,12 +151,26 @@ class TestEndpoints:
         assert client.sweep(pattern="CCRA", burst=2,
                             cycles=CYCLES)["source"] == "store"
 
-    def test_concurrent_duplicate_requests_simulate_once(self, served):
+    def test_concurrent_duplicate_requests_simulate_once(self, served,
+                                                         monkeypatch):
         """The dedup proof over the wire: 5 clients ask for the same
         cold point at once; exactly one simulation runs."""
         client, service = served
         before_sim = service.queue.counters.simulated
         before_dedup = service.queue.counters.deduped
+        # Hold the one simulation until all five requests reached the
+        # queue: a request that arrives after it finished would be a
+        # store hit, and the test would measure thread scheduling.
+        arrived = service.queue.counters.submitted + 5
+        run_point = service.queue._run_point
+
+        def held_run_point(point):
+            deadline = time.monotonic() + 30
+            while (service.queue.counters.submitted < arrived
+                   and time.monotonic() < deadline):
+                time.sleep(0.005)
+            return run_point(point)
+        monkeypatch.setattr(service.queue, "_run_point", held_run_point)
         kwargs = dict(pattern="CCS", burst=4, cycles=CYCLES)
         with concurrent.futures.ThreadPoolExecutor(5) as pool:
             bodies = list(pool.map(lambda _: client.sweep(**kwargs),
