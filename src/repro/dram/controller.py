@@ -153,6 +153,26 @@ class MemoryController:
             raise ConfigError(
                 f"PCH {pch} not fronted by MC {self.index}") from None
 
+    def _bounce(self, li: int) -> Optional[CompletionFn]:
+        """The NACK path of requests for local PCH ``li`` while the
+        channel is offline under a degradation policy, else ``None``
+        (requests queue).  :meth:`room` and :meth:`try_accept` both
+        decide through it, so they cannot disagree; both skip the call
+        while the channel has no fault state, the common case."""
+        fault = self.pchs[li].fault
+        if fault is not None and fault.offline and self.degrade_offline:
+            return self.on_nack
+        return None
+
+    def room(self, pch: int) -> float:
+        """How many transactions :meth:`try_accept` takes for ``pch``
+        before the next scheduler pop: the free slots of its queue, or
+        ``math.inf`` while the channel bounces every request."""
+        li = self._local_index[pch]
+        if self.pchs[li].fault is not None and self._bounce(li) is not None:
+            return math.inf
+        return self.sched.queue_capacity - len(self.queues[li])
+
     def try_accept(self, txn: AxiTransaction, cycle: int) -> bool:
         """Accept a transaction into its PCH scheduler queue.
 
@@ -160,12 +180,12 @@ class MemoryController:
         leaves the flit in its landing FIFO and retries next cycle.
         """
         li = self.local_index(txn.pch)
-        fault = self.pchs[li].fault
-        if fault is not None and fault.offline and self.degrade_offline \
-                and self.on_nack is not None:
+        bounce = (None if self.pchs[li].fault is None
+                  else self._bounce(li))
+        if bounce is not None:
             # Dead channel under a degradation policy: bounce the request
             # so the master's retry re-resolves through the remap table.
-            self.on_nack(txn, float(cycle))
+            bounce(txn, float(cycle))
             return True
         q = self.queues[li]
         if len(q) >= self.sched.queue_capacity:

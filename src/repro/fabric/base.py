@@ -22,7 +22,6 @@ from __future__ import annotations
 import heapq
 import math
 import weakref
-from collections import deque
 from typing import Deque, List, Optional, Sequence, Tuple
 
 from ..axi.transaction import AxiTransaction, STATUS_NACK
@@ -43,6 +42,13 @@ class BaseFabric:
     #: reorder-buffer lanes).  The runtime sanitizer only arms its
     #: same-ID ordering check on fabrics that declare this.
     same_id_ordering = False
+
+    #: Staging of the heap-fed fabrics (MAO, ideal), which allocate it:
+    #: per PCH, the in-transit heap entries ``(arrival, seq, txn)`` that
+    #: arrived but found no room in the PCH's scheduler queue, oldest
+    #: first; and the total over all PCHs.
+    _staged: List[Deque[tuple]]
+    _staged_count: int
 
     def __init__(
         self,
@@ -126,8 +132,9 @@ class BaseFabric:
         * **parked offline queues** — :meth:`MemoryController.next_event`
           ignores queues whose channel is offline; only a fault event can
           revive it, and the engine loops clamp every jump to those;
-        * **staged pops** — a heap-fed fabric's staged transactions were
-          all refused by this cycle's sweep, so they can be accepted no
+        * **staged pops** — this cycle's sweep gave every PCH all the
+          staged arrivals its queue had room for, so a PCH still holding
+          staged work had a full queue, and that work can be accepted no
           earlier than the cycle after a scheduler pop frees space
           (:meth:`_ingress_event`).
 
@@ -146,21 +153,21 @@ class BaseFabric:
                     break
         return nxt if nxt > cycle + 1 else cycle + 1
 
-    def _ingress_event(self, cycle: int, staged: Deque[AxiTransaction],
-                       in_transit: List[tuple]) -> float:
+    def _ingress_event(self, cycle: int, in_transit: List[tuple]) -> float:
         """Horizon term of a heap-fed ingress: ``in_transit`` arrivals
-        feeding a ``staged`` retry deque (the MAO and ideal fabrics).
+        feeding the per-PCH staging (the MAO and ideal fabrics).
 
-        The sweep of the step at ``cycle`` refused every transaction
-        still staged (anything accepted left the deque), so each target
-        queue was full, and only a scheduler pop frees space.  Staged work
-        therefore pins the horizon to ``cycle + 1`` only when some
-        controller popped during this step — pops happen after the sweep
-        — and otherwise waits for the next arrival, whose sweep may find
-        a queue with space.  A starved fabric, every credit parked behind
-        an offline channel, answers ``math.inf`` here.
+        The sweep of the step at ``cycle`` took from each PCH's deque
+        every arrival its queue had room for, so a PCH that still holds
+        staged work had a full queue, and only a scheduler pop frees
+        space.  Staged work therefore pins the horizon to ``cycle + 1``
+        only when some controller popped during this step — pops happen
+        after the sweep — and otherwise waits for the next arrival, whose
+        sweep may find a queue with space.  A starved fabric, every
+        credit parked behind an offline channel, answers ``math.inf``
+        here.
         """
-        if staged:
+        if self._staged_count:
             for mc in self.mcs:
                 if mc.last_pop == cycle:
                     return cycle + 1
@@ -232,32 +239,32 @@ class BaseFabric:
     def _mcs_quiescent(self) -> bool:
         return all(mc.in_flight() == 0 for mc in self.mcs) and not self._events
 
-    def _retry_staged(self, staged, cycle: int):
-        """Offer staged arrivals to their controllers, in order.
+    def _retry_staged(self, cycle: int) -> None:
+        """Hand staged arrivals to the queues with room, oldest first.
 
-        Returns the (possibly new) deque of still-refused transactions.
-        Queue occupancy only grows within one sweep, so a queue that
-        refused once stays full for the rest of it — later transactions
-        bound for it skip the call.  When nothing is accepted the input
-        deque is returned untouched.  Both shortcuts are order-preserving
-        and bit-identical to the plain try-everything sweep.
+        A scheduler queue only grows during the sweep (pops happen in
+        the controllers' step, after it), so PCH ``p`` takes exactly the
+        first ``room(p)`` entries of its deque this cycle.  The sweep
+        takes those from each deque's left end, merges them across PCHs
+        by ``(arrival, seq)`` and offers only them: every ``try_accept``
+        it makes succeeds.  The merge reproduces the order in which one
+        arrival-ordered deque would offer them, and that order is
+        observable — write acks and degrade NACKs are heap events whose
+        ties break by sequence.
         """
-        full: set = set()
-        accepted: Optional[set] = None
         mc_by_pch = self._mc_by_pch
-        for i, txn in enumerate(staged):
-            pch = txn.pch
-            if pch in full:
-                continue
-            if mc_by_pch[pch].try_accept(txn, cycle):
-                if accepted is None:
-                    accepted = set()
-                accepted.add(i)
-            else:
-                full.add(pch)
-        if accepted is None:
-            return staged
-        return deque(txn for i, txn in enumerate(staged) if i not in accepted)
+        taken: List[tuple] = []
+        for pch, staged in enumerate(self._staged):
+            if staged:
+                room = mc_by_pch[pch].room(pch)
+                while room > 0 and staged:
+                    taken.append(staged.popleft())
+                    room -= 1
+        if taken:
+            self._staged_count -= len(taken)
+            taken.sort()
+            for _, _, txn in taken:
+                mc_by_pch[txn.pch].try_accept(txn, cycle)
 
     # -- reporting ----------------------------------------------------------------
 

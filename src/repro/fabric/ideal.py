@@ -36,7 +36,11 @@ class IdealFabric(BaseFabric):
         super().__init__(platform, address_map or ContiguousMap(platform), sched)
         self._in_transit: List[tuple] = []
         self._seq = 0
-        self._staged: Deque[AxiTransaction] = deque()
+        #: Arrivals that found their MC queue full, per PCH (see
+        #: :attr:`BaseFabric._staged`).
+        self._staged: List[Deque[tuple]] = [
+            deque() for _ in range(platform.num_pch)]
+        self._staged_count = 0
         #: Fault hook: ingress frozen until this cycle (no lateral
         #: structure exists to stall selectively).
         self._stall_until: float = 0.0
@@ -51,11 +55,13 @@ class IdealFabric(BaseFabric):
     def step(self, cycle: int) -> None:
         if cycle >= self._stall_until:
             transit = self._in_transit
+            staged = self._staged
             while transit and transit[0][0] <= cycle:
-                _, _, txn = heapq.heappop(transit)
-                self._staged.append(txn)
-            if self._staged:
-                self._staged = self._retry_staged(self._staged, cycle)
+                entry = heapq.heappop(transit)
+                staged[entry[2].pch].append(entry)
+                self._staged_count += 1
+            if self._staged_count:
+                self._retry_staged(cycle)
         for mc in self.mcs:
             mc.step(cycle)
         self._pop_due_events(cycle)
@@ -65,7 +71,7 @@ class IdealFabric(BaseFabric):
             self._stall_until = until
 
     def quiescent(self) -> bool:
-        return (not self._in_transit and not self._staged
+        return (not self._in_transit and not self._staged_count
                 and self._mcs_quiescent())
 
     def next_event(self, cycle: int) -> float:
@@ -78,9 +84,9 @@ class IdealFabric(BaseFabric):
             # against queues that may have drained meanwhile, is the
             # earliest acceptance point.
             t = (math.ceil(self._stall_until)
-                 if self._staged or self._in_transit else math.inf)
+                 if self._staged_count or self._in_transit else math.inf)
         else:
-            t = self._ingress_event(cycle, self._staged, self._in_transit)
+            t = self._ingress_event(cycle, self._in_transit)
         if t < nxt:
             nxt = t
         return nxt if nxt > cycle + 1 else cycle + 1
@@ -94,7 +100,7 @@ class IdealFabric(BaseFabric):
             "ideal.in_transit", GAUGE,
             lambda self=self: len(self._in_transit), "fabric"))
         probes.append(Probe(
-            "ideal.staged", GAUGE, lambda self=self: len(self._staged),
+            "ideal.staged", GAUGE, lambda self=self: self._staged_count,
             "fabric"))
         return probes
 

@@ -96,8 +96,11 @@ class MaoFabric(BaseFabric):
         #: In-flight requests: (arrival_cycle, seq, txn).
         self._in_transit: List[tuple] = []
         self._seq = 0
-        #: Requests that arrived but found their MC queue full.
-        self._staged: Deque[AxiTransaction] = deque()
+        #: Arrivals that found their MC queue full, per PCH (see
+        #: :attr:`BaseFabric._staged`); only the per-PCH queues push back.
+        self._staged: List[Deque[tuple]] = [
+            deque() for _ in range(platform.num_pch)]
+        self._staged_count = 0
         #: Reads in flight per master; bounded by the reorder depth (each
         #: AXI ID lane sustains a couple of outstanding bursts before
         #: in-order delivery stalls the stream).
@@ -159,26 +162,28 @@ class MaoFabric(BaseFabric):
 
     def step(self, cycle: int) -> None:
         transit = self._in_transit
+        staged = self._staged
         while transit and transit[0][0] <= cycle:
-            _, _, txn = heapq.heappop(transit)
-            self._staged.append(txn)
-        # Retry staged arrivals in order (per-PCH queues provide the
-        # backpressure boundary).
-        if self._staged:
-            self._staged = self._retry_staged(self._staged, cycle)
+            entry = heapq.heappop(transit)
+            staged[entry[2].pch].append(entry)
+            self._staged_count += 1
+        # Hand staged arrivals to the per-PCH queues with room, oldest
+        # first (the queues are the only backpressure boundary).
+        if self._staged_count:
+            self._retry_staged(cycle)
         for mc in self.mcs:
             mc.step(cycle)
         self._pop_due_events(cycle)
 
     def quiescent(self) -> bool:
-        return (not self._in_transit and not self._staged
+        return (not self._in_transit and not self._staged_count
                 and self._mcs_quiescent())
 
     def next_event(self, cycle: int) -> float:
         nxt = super().next_event(cycle)
         if nxt <= cycle + 1:
             return nxt
-        t = self._ingress_event(cycle, self._staged, self._in_transit)
+        t = self._ingress_event(cycle, self._in_transit)
         if t < nxt:
             nxt = t
         return nxt if nxt > cycle + 1 else cycle + 1
@@ -201,7 +206,7 @@ class MaoFabric(BaseFabric):
                 f"mao.master[{m}].reads_in_flight", GAUGE,
                 lambda rif=rif, m=m: rif[m], "fabric"))
         probes.append(Probe(
-            "mao.staged", GAUGE, lambda self=self: len(self._staged),
+            "mao.staged", GAUGE, lambda self=self: self._staged_count,
             "fabric"))
         probes.append(Probe(
             "mao.in_transit", GAUGE,

@@ -12,12 +12,18 @@ on ``submit`` + bounded in-flight windows that
 * survives **worker death** (``BrokenProcessPool`` or a timeout kill):
   the pool is rebuilt with capped-exponential backoff and the tasks
   that were in flight are retried,
-* quarantines **poison tasks**: a task in flight for ``max_crash_retries
-  + 1`` pool deaths is retried once in an isolated single-task
-  subprocess (so a crashy neighbour cannot defeat it) and, if it still
-  fails, reported as a structured :class:`TaskFailure` instead of
-  aborting the sweep — partial results with explicit holes, mirroring
-  the NACK-and-degrade philosophy of :mod:`repro.faults`,
+* attributes a worker death **exactly**: a task is charged only when it
+  kills its worker while running alone.  When a death leaves several
+  suspects, none is charged; each is re-run alone, then the full
+  window resumes, so an innocent neighbour of a crasher never uses up
+  its crash budget,
+* quarantines **poison tasks**: a task charged with ``max_crash_retries
+  + 1`` worker deaths is retried once in an isolated single-task
+  subprocess (which also rescues a task that only dies in shared
+  pools) and, if it still fails, reported as a structured
+  :class:`TaskFailure` instead of aborting the sweep — partial results
+  with explicit holes, mirroring the NACK-and-degrade philosophy of
+  :mod:`repro.faults`,
 * supports **graceful interruption** via a ``should_stop`` predicate
   (wired to SIGINT/SIGTERM by :class:`repro.runtime.signals
   .GracefulShutdown`): dispatch stops, in-flight tasks drain against a
@@ -246,6 +252,11 @@ class SupervisedPool:
             raise ValueError("results seed must have one slot per item")
 
         queue: Deque[int] = deque(todo)
+        # Suspects of a worker death that had company in flight, each
+        # re-run alone before the full window resumes.  ``isolating``
+        # stays set until the last of them has finished.
+        solo: Deque[int] = deque()
+        isolating = False
         dispatched: Set[int] = set()
         crashes: Dict[int, int] = {}     # index -> pool-fatal attempts
         fail_kind: Dict[int, str] = {}   # index -> "crash" | "timeout"
@@ -289,11 +300,12 @@ class SupervisedPool:
             else:
                 record_failure(i, kind, history, attempts=attempts)
 
-        def recover_lost(offenders: Sequence[int]) -> None:
-            """Pool died (crash or timeout kill): requeue every in-flight
-            task, charging the crash budget of the ``offenders``."""
+        def recover_lost(lost: List[int], offenders: Sequence[int],
+                         into: Deque[int]) -> None:
+            """Pool died (crash or timeout kill) with ``lost`` in flight:
+            rebuild it and requeue them at the front of ``into``, charging
+            the crash budget of the ``offenders`` only."""
             nonlocal pool
-            lost = sorted(inflight.values())
             inflight.clear()
             deadlines.clear()
             self._kill_pool(pool)
@@ -305,16 +317,29 @@ class SupervisedPool:
             # Requeue at the front so recovery precedes fresh dispatch;
             # suspects whose budget is exhausted are intercepted at
             # dispatch time by handle_suspect().
-            for i in reversed(lost):
-                queue.appendleft(i)
+            for i in sorted(lost, reverse=True):
+                into.appendleft(i)
             backoff = min(self.backoff_cap,
                           self.backoff_base * (2 ** (outcome.rebuilds - 1)))
             if backoff > 0:
                 time.sleep(backoff)
 
+        def recover_death(suspects: List[int]) -> None:
+            """A worker died with ``suspects`` in flight.  A task that
+            died alone is the culprit and is charged.  With company,
+            nobody is charged: every suspect is re-run alone instead."""
+            nonlocal isolating
+            if len(suspects) > 1:
+                isolating = True
+                recover_lost(suspects, (), solo)
+                return
+            for i in suspects:
+                fail_kind.setdefault(i, "crash")
+            recover_lost(suspects, suspects, queue)
+
         drain_deadline: Optional[float] = None
         try:
-            while queue or inflight:
+            while queue or solo or inflight:
                 if (should_stop is not None and should_stop()
                         and not stopping):
                     stopping = True
@@ -322,9 +347,18 @@ class SupervisedPool:
                     drain_deadline = (time.monotonic()  # det-lint: allow
                                       + drain_timeout)
                 # -- dispatch ------------------------------------------------
-                while (queue and len(inflight) < self.workers
-                       and not stopping):
-                    i = queue.popleft()
+                while not stopping:
+                    if isolating and not solo and not inflight:
+                        isolating = False  # every suspect ran alone
+                    if isolating:
+                        if inflight:
+                            break
+                        source = solo
+                    elif queue and len(inflight) < self.workers:
+                        source = queue
+                    else:
+                        break
+                    i = source.popleft()
                     if crashes.get(i, 0) > self.max_crash_retries:
                         handle_suspect(i)
                         continue
@@ -339,11 +373,8 @@ class SupervisedPool:
                         # A worker died after the last wait(): this item
                         # never ran, so it is requeued uncharged, while
                         # the tasks in flight are suspects as usual.
-                        queue.appendleft(i)
-                        suspects = sorted(inflight.values())
-                        for j in suspects:
-                            fail_kind.setdefault(j, "crash")
-                        recover_lost(suspects)
+                        source.appendleft(i)
+                        recover_death(sorted(inflight.values()))
                         continue
                     inflight[future] = i
                     if self.task_timeout is not None:
@@ -383,28 +414,19 @@ class SupervisedPool:
                 if crashed:
                     # Worker death takes every in-flight task with it;
                     # all of them were at the scene, all are suspects.
-                    suspects = sorted(crashed) + sorted(inflight.values())
-                    for i in suspects:
-                        fail_kind.setdefault(i, "crash")
-                    for i in reversed(sorted(crashed)):
-                        queue.appendleft(i)
-                    recover_lost(suspects)
-                    outcome.retries += len(crashed)
+                    recover_death(sorted(crashed + list(inflight.values())))
                     continue
                 # -- timeouts ------------------------------------------------
                 now = time.monotonic()  # det-lint: allow
                 expired = [f for f, dl in deadlines.items() if dl <= now]
                 if expired:
+                    # The expired tasks are known exactly: only they are
+                    # charged, the rest of the window is requeued.
                     offenders = sorted(inflight[f] for f in expired)
                     for i in offenders:
                         fail_kind[i] = "timeout"
-                    for i in reversed(offenders):
-                        queue.appendleft(i)
-                    for f in expired:
-                        inflight.pop(f, None)
-                        deadlines.pop(f, None)
-                    recover_lost(offenders)
-                    outcome.retries += len(offenders)
+                    recover_lost(sorted(inflight.values()), offenders,
+                                 queue)
                     continue
                 # -- drain deadline ------------------------------------------
                 if (drain_deadline is not None
@@ -413,7 +435,8 @@ class SupervisedPool:
             # Anything still queued or in flight after an interrupt is
             # pending work for a resumed run, not a failure.
             if stopping:
-                leftovers = sorted(set(queue) | set(inflight.values()))
+                leftovers = sorted(set(queue) | set(solo)
+                                   | set(inflight.values()))
                 outcome.pending = [i for i in leftovers
                                    if i not in outcome.completed]
         finally:

@@ -262,3 +262,96 @@ class TestIncrementalCounts:
             txn_timeout_cycles=4000, progress_timeout_cycles=4000),
             faults=FAULT_PLANS[plan_key])
         assert _step_checked(engine) > 1200
+
+
+def _step_staging_checked(engine):
+    """Check the per-PCH staging after every fabric step of a run and
+    drain; returns how many ``try_accept`` calls the sweeps made."""
+    fabric = engine.fabric
+    sweep_accepts = []
+    in_sweep = [False]
+    real_sweep = fabric._retry_staged
+
+    def checked_sweep(cycle):
+        in_sweep[0] = True
+        real_sweep(cycle)
+        in_sweep[0] = False
+        # Every queue was offered all it had room for.
+        starved = [p for p, staged in enumerate(fabric._staged)
+                   if staged and fabric._mc_by_pch[p].room(p) > 0]
+        assert starved == [], f"cycle {cycle}: staged work beside room"
+    fabric._retry_staged = checked_sweep
+
+    for mc in fabric.mcs:
+        def checked_accept(txn, cycle, _real=mc.try_accept):
+            accepted = _real(txn, cycle)
+            if in_sweep[0]:
+                sweep_accepts.append(accepted)
+            return accepted
+        mc.try_accept = checked_accept
+
+    real_step = fabric.step
+
+    def checked_step(cycle):
+        real_step(cycle)
+        staged = fabric._staged
+        assert fabric._staged_count == sum(len(d) for d in staged)
+        for pch, entries in enumerate(staged):
+            assert all(txn.pch == pch for _, _, txn in entries)
+            keys = [(arrival, seq) for arrival, seq, _ in entries]
+            assert keys == sorted(keys), f"PCH {pch} out of order"
+            # What the horizon's staged-pop proof relies on: a PCH that
+            # still holds staged work after the step has room only if
+            # its controller popped in it.
+            mc = fabric._mc_by_pch[pch]
+            if (entries and mc.room(pch) > 0
+                    and cycle >= getattr(fabric, "_stall_until", 0.0)):
+                assert mc.last_pop == cycle, f"cycle {cycle}, PCH {pch}"
+        assert all(sweep_accepts), "the sweep offered to a full queue"
+    fabric.step = checked_step
+    engine.run()
+    engine.drain(max_cycles=20_000)
+    return len(sweep_accepts)
+
+
+class TestStagedSweep:
+    """The heap-fed fabrics stage arrivals per PCH in arrival order, and
+    the sweep offers each queue exactly what it has room for."""
+
+    FABRICS = {"mao": MaoFabric, "ideal": IdealFabric}
+
+    @pytest.mark.parametrize("fabric_key", sorted(FABRICS))
+    def test_table4_ccra(self, fabric_key):
+        fabric = self.FABRICS[fabric_key](DEFAULT_PLATFORM)
+        sources = make_pattern_sources(
+            Pattern.CCRA, DEFAULT_PLATFORM, burst_len=16, rw=TWO_TO_ONE,
+            address_map=fabric.address_map, seed=5)
+        engine = Engine(fabric, sources, SimConfig(
+            cycles=1500, warmup=300, engine="legacy"))
+        assert _step_staging_checked(engine) > 1000
+
+    @pytest.mark.parametrize("fabric_key", sorted(FABRICS))
+    def test_one_entry_queues(self, fabric_key):
+        sched = SchedulerConfig(window=1, queue_capacity=1)
+        fabric = self.FABRICS[fabric_key](SMALL, sched=sched)
+        sources = make_pattern_sources(
+            Pattern.CCRA, SMALL, burst_len=8, rw=TWO_TO_ONE,
+            address_map=fabric.address_map)
+        engine = Engine(fabric, sources, SimConfig(
+            cycles=1200, warmup=300, outstanding=16, engine="legacy"))
+        assert _step_staging_checked(engine) > 100
+
+    @pytest.mark.parametrize("fabric_key", sorted(FABRICS))
+    def test_hotspot_degrade(self, fabric_key):
+        """Arrivals staged for the hot channel when it dies are NACKed
+        by the sweep, beside arrivals for survivors that queue."""
+        fabric = self.FABRICS[fabric_key](SMALL)
+        sources = make_hotspot_sources(
+            0, SMALL, burst_len=8, rw=TWO_TO_ONE,
+            address_map=fabric.address_map)
+        engine = Engine(fabric, sources, SimConfig(
+            cycles=1200, warmup=300, outstanding=16, engine="legacy",
+            txn_timeout_cycles=4000, progress_timeout_cycles=4000),
+            faults=FAULT_PLANS["hotspot-degrade"])
+        assert _step_staging_checked(engine) > 100
+        assert sum(mp.nacks for mp in engine.masters) > 0

@@ -14,9 +14,13 @@ with SHA-256 and compares them with ``tests/golden/model_reports.json``:
   accepts and the summed DRAM counters.
 
 The grid is the small platform (1,200 cycles) over 3 fabrics × 4
-patterns × 3 R/W mixes × 2 traffic seeds, the 10 fault-grid plans, and
-two default-platform vendor-fabric points (CCRA and CCS, 2,000 cycles)
-where lateral head-of-line blocking dominates.
+patterns × 3 R/W mixes × 2 traffic seeds, the 10 fault-grid plans, six
+hot-spot degrade points, and two default-platform vendor-fabric points
+(CCRA and CCS, 2,000 cycles) where lateral head-of-line blocking
+dominates.  The hot-spot degrade points send every master to PCH 0 and
+take PCH 0 offline under a degradation policy on the MAO and ideal
+fabrics, so staged arrivals for the dead channel are NACKed from the
+staging sweep while arrivals for survivors keep queueing.
 
 A change that is meant to alter the model re-records the file with
 ``pytest tests/test_model_freeze.py --update-golden`` and says why.
@@ -34,14 +38,16 @@ import pytest
 from repro.errors import ReproError
 from repro.params import DEFAULT_PLATFORM
 from repro.sim import Engine, SimConfig
-from repro.traffic import make_pattern_sources
-from repro.types import Pattern, RWRatio, READ_ONLY, TWO_TO_ONE
+from repro.traffic import make_hotspot_sources, make_pattern_sources
+from repro.types import (Pattern, RWRatio, READ_ONLY, TWO_TO_ONE,
+                         WRITE_ONLY)
 from tests.test_engine_fastpath import FABRICS, FAULT_GRID, FAULT_PLANS
 
 GOLDEN = Path(__file__).parent / "golden" / "model_reports.json"
 
 PATTERNS = (Pattern.SCS, Pattern.CCS, Pattern.SCRA, Pattern.CCRA)
 MIXES = {"2to1": TWO_TO_ONE, "1to0": READ_ONLY, "1to1": RWRatio(1, 1)}
+HOTSPOT_MIXES = {"2to1": TWO_TO_ONE, "1to0": READ_ONLY, "0to1": WRITE_ONLY}
 SEEDS = (0, 1)
 
 #: Drain budget: generous for every point, short enough that a drain
@@ -73,6 +79,16 @@ def _fault_engine(platform, fabric_key, plan_key):
     return Engine(fabric, sources, cfg, faults=FAULT_PLANS[plan_key])
 
 
+def _hotspot_degrade_engine(platform, fabric_key, rw):
+    fabric = FABRICS[fabric_key](platform)
+    sources = make_hotspot_sources(
+        0, platform, burst_len=8, rw=rw, address_map=fabric.address_map)
+    cfg = SimConfig(cycles=1200, warmup=300, outstanding=16,
+                    txn_timeout_cycles=4000, progress_timeout_cycles=4000)
+    return Engine(fabric, sources, cfg,
+                  faults=FAULT_PLANS["hotspot-degrade"])
+
+
 def _table4_engine(pattern):
     fabric = FABRICS["xlnx"](DEFAULT_PLATFORM)
     sources = make_pattern_sources(
@@ -97,6 +113,12 @@ def freeze_points(small_platform):
             f"{fabric_key}/fault/{plan_key}",
             lambda f=fabric_key, k=plan_key:
                 _fault_engine(small_platform, f, k)))
+    for fabric_key in ("mao", "ideal"):
+        for mix, rw in HOTSPOT_MIXES.items():
+            points.append((
+                f"{fabric_key}/hotspot-degrade/{mix}",
+                lambda f=fabric_key, r=rw:
+                    _hotspot_degrade_engine(small_platform, f, r)))
     for pattern in (Pattern.CCRA, Pattern.CCS):
         points.append((f"default/xlnx/{pattern.name}",
                        lambda p=pattern: _table4_engine(p)))

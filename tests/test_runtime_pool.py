@@ -43,6 +43,16 @@ def _crash_unless_isolated(x):
     return value * value
 
 
+def _crash_beside_lingerers(x):
+    """Kill the worker for the marked item at once, while every other
+    item lingers, so a crash always has innocent company in flight."""
+    value, crash = x
+    if crash:
+        os._exit(137)
+    time.sleep(0.2)
+    return value * value
+
+
 def _raise_on(x):
     value, bad = x
     if bad:
@@ -137,6 +147,21 @@ class TestCrashRecovery:
         assert outcome.results == [x * x for x in range(6)]
         assert outcome.ok and not outcome.failures
         assert outcome.rebuilds == 1
+
+    def test_crash_charges_only_the_task_that_dies_alone(self):
+        """Innocent neighbours in flight when a worker dies are re-run
+        alone, never charged: with no crash budget to spare and no
+        quarantine, only the crasher becomes a hole."""
+        items = [(i, i == 1) for i in range(6)]
+        outcome = _fast_pool(workers=3, quarantine=False,
+                             max_crash_retries=0).map(
+            _crash_beside_lingerers, items)
+        assert outcome.holes == [1]
+        assert outcome.failures[0].kind == "crash"
+        assert outcome.failures[0].attempts == 1
+        assert sorted(outcome.completed) == [0, 2, 3, 4, 5]
+        assert [outcome.results[i] for i in (0, 2, 3, 4, 5)] == \
+               [0, 4, 9, 16, 25]
 
     def test_quarantine_disabled_reports_crash_kind(self):
         items = [(i, i == 1) for i in range(4)]
