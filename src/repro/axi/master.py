@@ -159,9 +159,10 @@ class MasterPort:
         Used by the engine's fast path to skip masters that provably
         cannot issue: a credit-blocked master sleeps until a completion
         (``inf`` — the engine wakes it explicitly), a pacing-blocked one
-        until its meter expires.  A master with a staged retry or a
-        (possibly temporarily) exhausted source must be polled every
-        cycle, exactly as the legacy loop does.
+        until its meter expires.  A master with a refused transaction
+        (:attr:`held_txn`) or a (possibly temporarily) exhausted source
+        is due every cycle; for the former the engine asks the fabric's
+        ``admits`` first instead of stepping it.
         """
         if self.outstanding >= self.outstanding_limit:
             return math.inf
@@ -208,6 +209,13 @@ class MasterPort:
     @property
     def retry_pending(self) -> bool:
         return bool(self._retry)
+
+    @property
+    def held_txn(self) -> Optional[AxiTransaction]:
+        """The transaction the fabric refused, which the next fresh
+        issue offers again before asking the source; ``None`` when the
+        fabric took every offer."""
+        return self._staged
 
     @property
     def retry_queue_depth(self) -> int:

@@ -29,6 +29,12 @@ undelivered reads is below its capacity.  The controller counts those
 booked reads per PCH as it books and delivers them, so the test is
 O(1).  Fabrics that accept read data unconditionally (the MAO's reorder
 buffers, the ideal fabric) pass no FIFOs.
+
+A controller that cannot act sleeps.  Each :meth:`MemoryController.step`
+ends by storing :attr:`~MemoryController.wake`, the earliest cycle at
+which the next step can change state, computed from what the step just
+touched; the fabrics skip the call before it and read it as the
+controller's term of their event horizon.
 """
 
 from __future__ import annotations
@@ -94,6 +100,25 @@ class MemoryController:
     the fabric accepts read data unconditionally.  The scheduler reads
     the FIFOs' occupancy; it never pushes into them — delivered read
     data still goes through ``on_read_data``.
+
+    :attr:`wake` is the earliest cycle at which :meth:`step` can change
+    state.  The step that stores it takes the minimum of the due cycle
+    of the next booked read and, per live PCH with a non-empty queue,
+    ``floor(bus_free - horizon) + 1`` when the bus is booked past the
+    horizon or ``cycle + 1`` when a pick failed (a closed port gate or
+    response path must be probed again every cycle, since each probe
+    counts in ``port_stalls``).  Queues of an offline PCH add no term:
+    they stay parked until a fault event, to which every engine jump is
+    clamped.  :meth:`try_accept` lowers it to the current cycle.  A step
+    before :attr:`wake` is a no-op, so the fabrics skip it.
+
+    A PCH is *reads-only* when its last pick failed on a full response
+    path and its window held no write that passes the per-master order
+    filter.  Until an accept into its queue or a flush of it, every
+    pick fails the same way while the response path stays full, and
+    makes exactly one port-gate probe: the read gate, because the
+    window's first entry always passes the order filter.  The
+    scheduling loop then replays that probe instead of scanning.
     """
 
     def __init__(
@@ -142,6 +167,11 @@ class MemoryController:
         #: a staged transaction refused for a full queue can only be
         #: accepted the cycle after some pop freed space.
         self.last_pop = -1
+        #: Earliest cycle at which :meth:`step` can change state
+        #: (``math.inf``: not until an accept).
+        self.wake: float = math.inf
+        #: Per local PCH: whether it is reads-only (see the class doc).
+        self._reads_only: List[bool] = [False] * len(pchs)
         self._local_index = {p.index: i for i, p in enumerate(pchs)}
 
     # -- fabric-facing -------------------------------------------------------
@@ -192,6 +222,9 @@ class MemoryController:
             return False
         txn.accept_cycle = cycle
         q.append(txn)
+        self._reads_only[li] = False
+        if cycle < self.wake:
+            self.wake = cycle
         self.accepts += 1
         if txn.is_write:
             # Posted write: B response on acceptance into the queue.
@@ -201,16 +234,28 @@ class MemoryController:
     # -- simulation ----------------------------------------------------------
 
     def step(self, cycle: int) -> None:
+        wake = math.inf
         for q in self.queues:
             if q:
-                self._schedule(cycle)
+                wake = self._schedule(cycle)
                 break
-        if self._pending:
+        pending = self._pending
+        if pending:
             self._deliver_read_data(cycle)
+            if pending:
+                due = math.ceil(pending[0][0])
+                if due < wake:
+                    wake = due
+        self.wake = wake
 
-    def _schedule(self, cycle: int) -> None:
+    def _schedule(self, cycle: int) -> float:
+        """Book work on every live PCH; returns the scheduling part of
+        :attr:`wake`."""
         s = self.sched
-        commit_horizon = cycle + s.horizon
+        horizon = s.horizon
+        commit_horizon = cycle + horizon
+        reads_only = self._reads_only
+        wake = math.inf
         for li, pch in enumerate(self.pchs):
             fault = pch.fault
             if fault is not None and fault.offline:
@@ -219,11 +264,27 @@ class MemoryController:
                 # turns the silence into a TransactionTimeout.
                 continue
             q = self.queues[li]
-            # Inlined pch.ready_for_service(cycle, s.horizon) — this loop
-            # runs every cycle for every pseudo-channel.
-            while q and pch.bus_free < commit_horizon:
+            while q:
+                # Inlined pch.ready_for_service(cycle, s.horizon) — this
+                # loop runs on every step for every pseudo-channel.
+                if pch.bus_free >= commit_horizon:
+                    t = math.floor(pch.bus_free - horizon) + 1
+                    if t < wake:
+                        wake = t
+                    break
+                if reads_only[li]:
+                    fifo = self.response_fifos[li]
+                    if (len(fifo.items) + self._pending_reads[li]
+                            >= fifo.capacity):
+                        # The pick would fail again; replay its one
+                        # side effect, the read-gate probe.
+                        pch.channel_open(True, cycle)
+                        wake = cycle + 1
+                        break
+                    reads_only[li] = False
                 idx = self._pick(q, pch, li, cycle)
                 if idx is None:
+                    wake = cycle + 1
                     break
                 txn = q.pop(idx)
                 self.last_pop = cycle
@@ -236,6 +297,7 @@ class MemoryController:
                     heapq.heappush(
                         self._pending,
                         (exit_time + self.mc_latency, self._seq, txn, li))
+        return wake
 
     def _pick(self, q: List[AxiTransaction], pch: PseudoChannel, li: int,
               cycle: int) -> Optional[int]:
@@ -244,7 +306,9 @@ class MemoryController:
         ``li`` is ``pch``'s local index.  Returns the queue index to
         service, or ``None`` if nothing is eligible (e.g. the response path
         is full for every candidate read, or both direction gates are
-        exhausted).
+        exhausted).  A failing pick that found the response path full
+        and probed no write gate marks the PCH reads-only: the write
+        gate is probed at the first write that passes the order filter.
         """
         s = self.sched
         banks = pch.banks
@@ -291,6 +355,8 @@ class MemoryController:
                 best_idx = i
                 if score == max_score:
                     break  # cannot do better
+        if best_idx is None and not resp_ok and gate_ok[1] is None:
+            self._reads_only[li] = True
         return best_idx
 
     def _deliver_read_data(self, cycle: int) -> None:
@@ -299,40 +365,6 @@ class MemoryController:
             _, _, txn, li = heapq.heappop(pending)
             self._pending_reads[li] -= 1
             self.on_read_data(txn, float(cycle))
-
-    def next_event(self, cycle: int) -> float:
-        """Earliest future cycle at which :meth:`step` could change state.
-
-        Any queued transaction for a live pseudo-channel means work may be
-        scheduled next cycle (whether a scheduling gate actually opens is
-        left to the per-cycle logic); pending read-data deliveries have
-        exactly known due times; ``math.inf`` when neither remains.
-
-        Queues of an *offline* channel are parked: :meth:`_schedule`
-        skips them, so they cannot change state until a fault event
-        brings the channel back, and every engine loop clamps its jumps
-        to the fault injector's next event.  This is the first of the two
-        starvation proofs; the second, the staged-pop proof, lives in the
-        heap-fed fabrics' ``next_event`` and reads :attr:`last_pop`.
-
-        The scheduler's booking horizon (a channel whose bus is booked
-        ``sched.horizon`` cycles ahead cannot pick until the booking
-        drains) is deliberately *not* used here.  It would let saturated
-        runs skip a few more cycles, but on the benchmark's ``mao-ccra``
-        workload (2-core VM) it cut stepped cycles by under 1 % while the
-        extra horizon queries made each point about 14 % slower (lower
-        quartile 605 -> 690 ms).
-        """
-        pchs = self.pchs
-        for li, q in enumerate(self.queues):
-            if q:
-                fault = pchs[li].fault
-                if fault is None or not fault.offline:
-                    return cycle + 1
-        if self._pending:
-            t = math.ceil(self._pending[0][0])
-            return t if t > cycle + 1 else cycle + 1
-        return math.inf
 
     # -- invariants / reporting ----------------------------------------------
 
@@ -349,6 +381,7 @@ class MemoryController:
         q = self.queues[li]
         flushed = list(q)
         q.clear()
+        self._reads_only[li] = False
         return flushed
 
     def queued(self, pch_index: int) -> int:

@@ -6,6 +6,8 @@ The engine drives it through a narrow interface:
 
 * :meth:`BaseFabric.submit` — a master offers a transaction (returns
   ``False`` on backpressure),
+* :meth:`BaseFabric.admits` — whether ``submit`` would take a
+  transaction now (a pure query),
 * :meth:`BaseFabric.step` — advance one fabric cycle,
 * :attr:`BaseFabric.completions` — transactions that finished this cycle
   (drained by the engine),
@@ -109,6 +111,15 @@ class BaseFabric:
     def submit(self, txn: AxiTransaction, cycle: int) -> bool:
         raise NotImplementedError
 
+    def admits(self, txn: AxiTransaction) -> bool:
+        """Whether :meth:`submit` would take ``txn`` now, without taking
+        it.  A pure query: the fast engine tier asks it before stepping
+        a master whose last offer of ``txn`` was refused.  Each fabric's
+        ``submit`` refuses through this predicate and has no side effect
+        when it does, so the two cannot disagree.  The base fabric
+        refuses nothing."""
+        return True
+
     def step(self, cycle: int) -> None:
         raise NotImplementedError
 
@@ -121,32 +132,31 @@ class BaseFabric:
 
         Called right after :meth:`step` ran at ``cycle``.  Returns
         ``math.inf`` when the fabric is provably quiescent.  The base
-        implementation covers the shared model state (scheduled completion
-        events and the memory controllers); subclasses extend it with
-        their interconnect state and must stay *conservative*: answering
-        ``cycle + 1`` whenever in doubt is always correct.
+        implementation covers the shared model state: scheduled
+        completion events and each memory controller's
+        :attr:`~repro.dram.controller.MemoryController.wake`, the cycle
+        before which the fabric does not step it.  Subclasses extend it
+        with their interconnect state and must stay *conservative*:
+        answering ``cycle + 1`` whenever in doubt is always correct.
 
         Two proofs let a starved fabric answer far ahead, so the engine
         jumps a dead-channel window instead of stepping it:
 
-        * **parked offline queues** — :meth:`MemoryController.next_event`
-          ignores queues whose channel is offline; only a fault event can
+        * **parked offline queues** — a controller's wake has no term
+          for the queue of an offline channel; only a fault event can
           revive it, and the engine loops clamp every jump to those;
         * **staged pops** — this cycle's sweep gave every PCH all the
           staged arrivals its queue had room for, so a PCH still holding
           staged work had a full queue, and that work can be accepted no
           earlier than the cycle after a scheduler pop frees space
           (:meth:`_ingress_event`).
-
-        The scheduler's booking horizon is left out on purpose; see
-        :meth:`MemoryController.next_event` for the measurement.
         """
         nxt = math.inf
         ev = self._events
         if ev:
             nxt = math.ceil(ev[0][0])
         for mc in self.mcs:
-            t = mc.next_event(cycle)
+            t = mc.wake
             if t < nxt:
                 nxt = t
                 if nxt <= cycle + 1:

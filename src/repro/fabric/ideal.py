@@ -63,7 +63,8 @@ class IdealFabric(BaseFabric):
             if self._staged_count:
                 self._retry_staged(cycle)
         for mc in self.mcs:
-            mc.step(cycle)
+            if mc.wake <= cycle:
+                mc.step(cycle)
         self._pop_due_events(cycle)
 
     def apply_link_stall(self, until: float, cut: Optional[int] = None) -> None:

@@ -116,10 +116,15 @@ class MaoFabric(BaseFabric):
 
     # -- engine interface --------------------------------------------------------
 
+    def admits(self, txn: AxiTransaction) -> bool:
+        """Writes always; a read while its master has a free ID-lane
+        slot.  With every lane saturated, a master with few independent
+        AXI IDs cannot keep more reads in flight (Fig. 6)."""
+        return (not txn.is_read
+                or self._reads_in_flight[txn.master] < self._max_reads)
+
     def submit(self, txn: AxiTransaction, cycle: int) -> bool:
-        if txn.is_read and self._reads_in_flight[txn.master] >= self._max_reads:
-            # All ID lanes saturated: a master with few independent AXI
-            # IDs cannot keep more reads in flight (Fig. 6).
+        if not self.admits(txn):
             return False
         self._resolve(txn)
         txn.issue_cycle = cycle
@@ -172,7 +177,8 @@ class MaoFabric(BaseFabric):
         if self._staged_count:
             self._retry_staged(cycle)
         for mc in self.mcs:
-            mc.step(cycle)
+            if mc.wake <= cycle:
+                mc.step(cycle)
         self._pop_due_events(cycle)
 
     def quiescent(self) -> bool:

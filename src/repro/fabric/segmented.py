@@ -227,14 +227,17 @@ class SegmentedFabric(BaseFabric):
 
     # -- engine interface --------------------------------------------------------
 
+    def admits(self, txn: AxiTransaction) -> bool:
+        """Whether the master's ingress FIFO has room."""
+        return not self.ingress[txn.master].full
+
     def submit(self, txn: AxiTransaction, cycle: int) -> bool:
-        fifo = self.ingress[txn.master]
-        if fifo.full:
+        if not self.admits(txn):
             return False
         self._resolve(txn)
         flit = self._request_flit(txn)
         txn.issue_cycle = cycle
-        fifo.append(flit)
+        self.ingress[txn.master].append(flit)
         return True
 
     def step(self, cycle: int) -> None:
@@ -253,7 +256,8 @@ class SegmentedFabric(BaseFabric):
             while items and mc.try_accept(items[0].txn, cycle):
                 fifo.popleft()
         for mc in self.mcs:
-            mc.step(cycle)
+            if mc.wake <= cycle:
+                mc.step(cycle)
         for out in self._response_outputs:
             if out.pending_in or out.in_flight:
                 out.step(cycle)

@@ -18,13 +18,15 @@ Two interchangeable main loops (engine tiers) drive the model:
   fabric once per cycle — the reference semantics;
 * the **fast path** (``engine="fast"``, the default) skips masters that
   provably cannot issue this cycle (credits exhausted / pacing meter
-  pending) and, when every master is asleep, asks the fabric for its
-  *event horizon* (:meth:`~repro.fabric.base.BaseFabric.next_event`) and
-  jumps the clock forward over provably empty cycles.  The horizon
-  carries the two starvation proofs — queues of an offline channel are
-  parked, and staged arrivals refused for full queues wait for a
-  scheduler pop — so a saturated channel that goes dead is jumped, not
-  stepped.
+  pending, or *held*: the fabric refused their transaction and
+  :meth:`~repro.fabric.base.BaseFabric.admits` still refuses it) and,
+  when every master is asleep, asks the fabric for its *event horizon*
+  (:meth:`~repro.fabric.base.BaseFabric.next_event`) and jumps the clock
+  forward over provably empty cycles.  The horizon carries the
+  controllers' wakes and the two starvation proofs — queues of an
+  offline channel are parked, and staged arrivals refused for full
+  queues wait for a scheduler pop — so a saturated channel that goes
+  dead is jumped, not stepped.
 
 The fast path is an optimization, never a model change: skipped work is
 exactly the work the legacy loop would have executed as a no-op, so both
@@ -234,7 +236,14 @@ class Engine:
 
         Per-master ``wake`` cycles encode when a master next needs
         stepping (see :meth:`MasterPort.wake_after`); a completion wakes
-        its master for the following cycle.  When every master sleeps
+        its master for the following cycle.  A master whose step ended
+        with a refused transaction (:attr:`MasterPort.held_txn`) and no
+        retry queued is *held*: its next step can only offer that
+        transaction again, so it is stepped again only once
+        ``fabric.admits`` takes it or a completion for the master
+        arrives (which may return a credit or queue a retry).  A
+        refused ``submit`` has no side effect, so every skipped step is
+        one the legacy loop executes as a no-op.  When every master sleeps
         beyond the next cycle, the clock jumps to the earliest of the
         master horizon, the fabric's event horizon, the end of warmup
         (the DRAM snapshot boundary), the next fault event, the watchdog
@@ -256,6 +265,7 @@ class Engine:
         pdog = self._progress_dog
         tele = self.telemetry
         wake: List[float] = [0.0] * len(masters)
+        held: List[Optional[AxiTransaction]] = [None] * len(masters)
         snapshotted = False
         stepped = 0
         cycle = 0
@@ -269,14 +279,23 @@ class Engine:
                 snapshotted = True
             for i, mp in enumerate(masters):
                 if wake[i] <= cycle:
+                    txn = held[i]
+                    if txn is not None:
+                        if not fabric.admits(txn):
+                            continue
+                        held[i] = None
                     mp.step(cycle, fabric)
                     wake[i] = mp.wake_after(cycle)
+                    txn = mp.held_txn
+                    if txn is not None and not mp.retry_pending:
+                        held[i] = txn
             fabric.step(cycle)
             done = fabric.completions
             if done:
                 fabric.completions = []
                 for txn, _time in done:
                     i = slot[txn.master]
+                    held[i] = None
                     if wake[i] > cycle + 1:
                         wake[i] = cycle + 1
                 self._process_completions(done, cycle, by_index)

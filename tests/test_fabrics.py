@@ -11,7 +11,7 @@ from repro.params import DEFAULT_PLATFORM, HbmPlatform
 from repro.sim import Engine, SimConfig
 from repro.traffic import make_hotspot_sources, make_pattern_sources
 from repro.types import Direction, Pattern, RWRatio, TWO_TO_ONE
-from tests.test_engine_fastpath import FAULT_PLANS
+from tests.test_engine_fastpath import FABRICS, FAULT_PLANS
 
 SMALL = HbmPlatform(num_pch=8, pch_capacity=64 * 1024 * 1024)
 
@@ -354,4 +354,101 @@ class TestStagedSweep:
             txn_timeout_cycles=4000, progress_timeout_cycles=4000),
             faults=FAULT_PLANS["hotspot-degrade"])
         assert _step_staging_checked(engine) > 100
+        assert sum(mp.nacks for mp in engine.masters) > 0
+
+
+def _order_eligible(mc, q):
+    """The entries of queue ``q``'s window that pass the per-master order
+    filter of ``mc``'s scheduler."""
+    s = mc.sched
+    seen = {}
+    eligible = []
+    for txn in q[:s.window]:
+        order = seen.get(txn.master, 0)
+        seen[txn.master] = order + 1
+        if order < s.reorder_depth:
+            eligible.append(txn)
+    return eligible
+
+
+def _step_wake_checked(engine):
+    """Check every controller's wake after every fabric step of a run and
+    drain; returns how often a controller with queued work slept past
+    the next cycle and how often a PCH was flagged reads-only."""
+    fabric = engine.fabric
+    counts = {"booked": 0, "reads_only": 0}
+    real_step = fabric.step
+
+    def checked_step(cycle):
+        real_step(cycle)
+        for mc in fabric.mcs:
+            wake = mc.wake
+            assert wake > cycle, f"mc{mc.index} woke in the past at {cycle}"
+            if wake > cycle + 1:
+                # No booked read is due before the wake ...
+                assert all(event[0] > wake - 1 for event in mc._pending), \
+                    f"mc{mc.index} sleeps past a read at {cycle}"
+                # ... and no live queue may pick before it.
+                live = [pch for li, pch in enumerate(mc.pchs) if mc.queues[li]
+                        and not (pch.fault and pch.fault.offline)]
+                for pch in live:
+                    assert pch.bus_free >= wake - 1 + mc.sched.horizon, \
+                        f"mc{mc.index} PCH {pch.index} sleeps at {cycle}"
+                counts["booked"] += bool(live)
+            for li, flagged in enumerate(mc._reads_only):
+                if flagged:
+                    counts["reads_only"] += 1
+                    eligible = _order_eligible(mc, mc.queues[li])
+                    assert not any(txn.is_write for txn in eligible), \
+                        f"mc{mc.index} PCH {li} flagged beside a write"
+    fabric.step = checked_step
+    engine.run()
+    engine.drain(max_cycles=20_000)
+    return counts
+
+
+class TestControllerWake:
+    """A controller's ``wake`` is never later than the first cycle its
+    step can change state, and a reads-only PCH's window holds no write
+    the scheduler could pick."""
+
+    @pytest.mark.parametrize("fabric_key", sorted(FABRICS))
+    def test_table4_ccra(self, fabric_key):
+        fabric = FABRICS[fabric_key](DEFAULT_PLATFORM)
+        sources = make_pattern_sources(
+            Pattern.CCRA, DEFAULT_PLATFORM, burst_len=16, rw=TWO_TO_ONE,
+            address_map=fabric.address_map, seed=5)
+        engine = Engine(fabric, sources, SimConfig(
+            cycles=1500, warmup=300, engine="legacy"))
+        counts = _step_wake_checked(engine)
+        assert counts["booked"] > 1000
+        if fabric_key == "xlnx":
+            assert counts["reads_only"] > 1000
+
+    @pytest.mark.parametrize("fabric_key", sorted(FABRICS))
+    def test_one_entry_queues(self, fabric_key):
+        sched = SchedulerConfig(window=1, queue_capacity=1)
+        fabric = FABRICS[fabric_key](SMALL, sched=sched)
+        sources = make_pattern_sources(
+            Pattern.CCRA, SMALL, burst_len=8, rw=TWO_TO_ONE,
+            address_map=fabric.address_map)
+        engine = Engine(fabric, sources, SimConfig(
+            cycles=1200, warmup=300, outstanding=16, engine="legacy"))
+        assert _step_wake_checked(engine)["booked"] > 100
+
+    @pytest.mark.parametrize("fabric_key", sorted(FABRICS))
+    @pytest.mark.parametrize("plan_key", ["stall-offline", "offline-degrade",
+                                          "hotspot-degrade"])
+    def test_fault_plans(self, fabric_key, plan_key):
+        fabric = FABRICS[fabric_key](SMALL)
+        make = (make_hotspot_sources if plan_key == "hotspot-degrade"
+                else make_pattern_sources)
+        target = 0 if plan_key == "hotspot-degrade" else Pattern.SCS
+        sources = make(target, SMALL, burst_len=8, rw=TWO_TO_ONE,
+                       address_map=fabric.address_map)
+        engine = Engine(fabric, sources, SimConfig(
+            cycles=1200, warmup=300, outstanding=16, engine="legacy",
+            txn_timeout_cycles=4000, progress_timeout_cycles=4000),
+            faults=FAULT_PLANS[plan_key])
+        assert _step_wake_checked(engine)["booked"] > 100
         assert sum(mp.nacks for mp in engine.masters) > 0

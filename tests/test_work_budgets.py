@@ -44,8 +44,8 @@ from repro.types import Pattern, READ_ONLY, TWO_TO_ONE
 
 GOLDEN = Path(__file__).parent / "golden" / "work_budgets.json"
 
-#: Budgeted functions shared by every point; each fabric's own ``step``
-#: is added per point.
+#: Budgeted functions shared by every point; the fabric's ``step`` and
+#: ``admits`` are added per point, named after the class defining them.
 FUNCTIONS = {
     "MasterPort.step": MasterPort.step,
     "ArbOutput._try_grant": ArbOutput._try_grant,
@@ -100,7 +100,8 @@ def work_budget(engine) -> dict:
     """Stepped cycles and budgeted call counts of one profiled run."""
     functions = dict(FUNCTIONS)
     fabric_cls = type(engine.fabric)
-    functions[f"{fabric_cls.__name__}.step"] = fabric_cls.step
+    for method in (fabric_cls.step, fabric_cls.admits):
+        functions[method.__qualname__] = method
     profiler = cProfile.Profile()
     profiler.runcall(engine.run)
     stats = pstats.Stats(profiler).stats
