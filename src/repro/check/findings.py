@@ -74,8 +74,8 @@ def render(findings: Sequence[Finding]) -> str:
 
 
 def render_json(findings: Sequence[Finding]) -> str:
-    """Machine-readable rendering (same ordering as :func:`render`);
-    the CI mutation-self-test leg uploads this as a build artifact."""
+    """Machine-readable rendering (same ordering as :func:`render`), as
+    ``repro-hbm check --json`` prints it."""
     import json
     return json.dumps(
         [{"severity": f.severity, "code": f.code, "message": f.message,

@@ -24,9 +24,9 @@ the four ways that property has historically been lost:
   and legacy engine tiers hides.  Deliberate exact tests (sentinel
   probes, rate == 1.0 fast paths) carry the pragma.
 
-Attribute chains are flattened by :func:`repro.check.astutil.dotted`,
-which sees through calls — ``random.Random().random()`` is still an
-unseeded-RNG chain even though an ``ast.Call`` sits mid-chain.
+Attribute chains are flattened by :func:`dotted`, which sees through
+calls — ``random.Random().random()`` is still an unseeded-RNG chain even
+though an ``ast.Call`` sits mid-chain.
 
 Run via ``repro-hbm check --lint`` or the pytest gate
 (``tests/test_check_lint.py``); CI runs both.
@@ -36,13 +36,12 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Optional, Set, Tuple
 
-from .astutil import default_src_root, dotted as _dotted, pragma_lines
 from .findings import Finding
 
-__all__ = ["PRAGMA", "default_src_root", "lint_paths", "lint_source",
-           "lint_tree"]
+__all__ = ["PRAGMA", "default_src_root", "dotted", "lint_paths",
+           "lint_source", "lint_tree"]
 
 #: Per-line suppression marker.
 PRAGMA = "det-lint: allow"
@@ -65,6 +64,40 @@ _ENTROPY = {("uuid", "uuid4"), ("uuid", "uuid1"), ("os", "urandom")}
 _FLOAT_SENTINELS = {("math", "inf"), ("math", "nan")}
 
 
+def dotted(node: ast.AST) -> Tuple[str, ...]:
+    """Flatten an attribute chain to name parts (best effort).
+
+    Sees through :class:`ast.Call` nodes inside the chain, so
+    ``random.Random().random`` flattens to
+    ``("random", "Random", "random")`` rather than being truncated at
+    the intervening call — chains the determinism lint must not lose.
+    Unresolvable bases (subscripts, literals) terminate the chain.
+    """
+    parts: List[str] = []
+    while True:
+        if isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        elif isinstance(node, ast.Call):
+            node = node.func
+        else:
+            break
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+    return tuple(reversed(parts))
+
+
+def pragma_lines(source: str, pragma: str) -> Set[int]:
+    """1-based line numbers of ``source`` carrying ``pragma``."""
+    return {i for i, line in enumerate(source.splitlines(), start=1)
+            if pragma in line}
+
+
+def default_src_root() -> Path:
+    """The installed package's source root (``src/repro``)."""
+    return Path(__file__).resolve().parent.parent
+
+
 class _Visitor(ast.NodeVisitor):
     def __init__(self, path: str, allowed_lines: set) -> None:
         self.path = path
@@ -81,7 +114,7 @@ class _Visitor(ast.NodeVisitor):
     # -- DL001 / DL002: calls ------------------------------------------------
 
     def visit_Call(self, node: ast.Call) -> None:
-        chain = _dotted(node.func)
+        chain = dotted(node.func)
         if len(chain) >= 2:
             head, tail = chain[0], chain[-1]
             pair = (chain[-2], tail)
@@ -159,7 +192,7 @@ class _Visitor(ast.NodeVisitor):
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                 and node.func.id == "float"):
             return True
-        return _dotted(node)[-2:] in _FLOAT_SENTINELS
+        return dotted(node)[-2:] in _FLOAT_SENTINELS
 
     def visit_Compare(self, node: ast.Compare) -> None:
         operands = [node.left] + list(node.comparators)

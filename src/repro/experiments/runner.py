@@ -167,7 +167,7 @@ def _cmd_check(args) -> tuple:
         chunks.append(text)
         json_findings.extend(f for fs in results.values() for f in fs)
         ok = ok and exp_ok
-    elif not (args.lint or args.state):
+    elif not args.lint:
         # Ad-hoc config check: one fabric kind under the given knobs.
         from ..sim import SimConfig
         cfg = SimConfig(cycles=args.cycles or 12_000,
@@ -186,14 +186,6 @@ def _cmd_check(args) -> tuple:
             ok = False
         json_findings.extend(findings)
         chunks.append(f"determinism lint: {len(findings)} finding(s)")
-    if args.state or args.all:
-        from ..check import statecheck as state_mod
-        from ..check.astutil import load_sources
-        sources = load_sources()
-        findings = state_mod.check_observer_purity(sources)
-        chunks.append(state_mod.render_state_report(findings, len(sources)))
-        json_findings.extend(findings)
-        ok = ok and not any(f.severity == "error" for f in findings)
     if args.json:
         chunks = [render_json(json_findings)]
     return "\n".join(chunks), 0 if ok else 1
@@ -275,17 +267,11 @@ def _cmd_run(keys: List[str], cycles: Optional[int]) -> str:
     # static finding (broken address map, impossible fault plan) aborts
     # the whole run-set up front.
     from ..check import static as static_mod
-    from ..check import statecheck as state_mod
     from ..check.findings import render
     from ..errors import ConfigError
     errors = [f for key in keys
               for f in static_mod.check_experiment(key, cycles)
               if f.severity == "error"]
-    # The observer-purity analyzer gates too: an observer that writes
-    # simulation state makes sanitized or sampled runs diverge from plain
-    # ones, which would poison every number the run produces.
-    errors.extend(f for f in state_mod.check_observer_purity()
-                  if f.severity == "error")
     if errors:
         raise ConfigError(
             "static pre-validation failed:\n" + render(errors))
@@ -400,9 +386,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                          help="validate every registry experiment")
     p_check.add_argument("--lint", action="store_true",
                          help="run the determinism lint over the sources")
-    p_check.add_argument("--state", action="store_true",
-                         help="run the observer-purity analyzer over the "
-                              "sources (also included in --all)")
     p_check.add_argument("--json", action="store_true",
                          help="emit findings as JSON instead of text")
     p_check.add_argument("--cycles", type=int, default=None,

@@ -430,9 +430,14 @@ class Engine:
         finally:
             for mp in masters:
                 mp.draining = False
+        # Posted writes were acknowledged when a controller accepted them,
+        # so they hold no master credit: count what the controllers still
+        # buffer next to the credits, or those writes stay invisible.
         raise SimulationError(
             f"fabric failed to drain within {max_cycles} cycles "
-            f"({sum(mp.outstanding for mp in masters)} transactions stuck)")
+            f"({sum(mp.outstanding for mp in masters)} master credits "
+            f"outstanding, {sum(mc.in_flight() for mc in fabric.mcs)} "
+            f"transactions buffered in memory controllers)")
 
 
 def simulate(

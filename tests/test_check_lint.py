@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import ast
+import json
 import subprocess
 import sys
 
 import pytest
 
-from repro.check.lint import default_src_root, lint_source, lint_tree
+from repro.check.findings import render_json
+from repro.check.lint import default_src_root, dotted, lint_source, lint_tree
 
 
 def _codes(source: str):
@@ -127,6 +130,22 @@ def test_pragma_suppresses_one_line():
 def test_syntax_error_reported_not_raised():
     findings = lint_source("def broken(:\n", "bad.py")
     assert [f.code for f in findings] == ["DL000"]
+
+
+def test_dotted_sees_through_calls():
+    expr = ast.parse("random.Random().random()", mode="eval").body
+    assert dotted(expr.func) == ("random", "Random", "random")
+    plain = ast.parse("a.b.c", mode="eval").body
+    assert dotted(plain) == ("a", "b", "c")
+    assert dotted(ast.parse("f()", mode="eval").body.func) == ("f",)
+
+
+def test_render_json_is_sorted_and_parseable():
+    findings = lint_source("import time\nb = time.time()\n"
+                           "import random\na = random.random()\n", "mod.py")
+    payload = json.loads(render_json(findings))
+    assert [f["code"] for f in payload] == ["DL001", "DL002"]
+    assert set(payload[0]) == {"severity", "code", "message", "location"}
 
 
 def test_locations_are_relative_to_package_parent():

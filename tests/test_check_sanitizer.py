@@ -3,8 +3,9 @@
 Two complementary halves:
 
 * **differential**: over the fast-path grid, a sanitizer-enabled run must
-  be clean *and* bit-identical to the plain run — the sanitizer is a pure
-  observer, never a timing change;
+  be clean *and* bit-identical to the plain run, in its report and in
+  the model state it leaves — the sanitizer is a pure observer, never a
+  timing change;
 * **mutation**: seeded simulator bugs (duplicated completions, leaked
   reorder slots, scrambled AXI ID lanes, lying bank state) must each be
   caught with the matching typed :class:`~repro.errors.SanitizerError`
@@ -27,7 +28,7 @@ from repro.traffic import make_pattern_sources
 from repro.types import Pattern, READ_ONLY, TWO_TO_ONE
 
 from tests.test_engine_fastpath import (FABRICS, FAULT_GRID, FAULT_PLANS,
-                                        GRID, _run)
+                                        GRID, _model_digest, _run)
 
 
 def _engine(small_platform, fabric, *, pattern=Pattern.CCS, rw=READ_ONLY,
@@ -53,9 +54,10 @@ def test_sanitized_grid_clean_and_bit_identical(small_platform, fabric_key,
     skipping may not perturb."""
     eng, sanitized = _run(small_platform, fabric_key, pattern, rw,
                           outstanding, engine, sanitize=True)
-    _, plain = _run(small_platform, fabric_key, pattern, rw, outstanding,
-                    engine)
+    plain_eng, plain = _run(small_platform, fabric_key, pattern, rw,
+                            outstanding, engine)
     assert sanitized == plain
+    assert _model_digest(eng) == _model_digest(plain_eng)
     san = eng.sanitizer
     assert san is not None and san.checks_run > 0
     assert san.attempts_issued == san.attempts_finished + len(san._inflight)
@@ -72,9 +74,10 @@ def test_sanitized_fault_runs_clean(small_platform, fabric_key, plan_key):
               progress_timeout_cycles=4000)
     eng, sanitized = _run(small_platform, fabric_key, Pattern.SCS,
                           TWO_TO_ONE, 16, "fast", sanitize=True, **kw)
-    _, plain = _run(small_platform, fabric_key, Pattern.SCS, TWO_TO_ONE, 16,
-                    "fast", **kw)
+    plain_eng, plain = _run(small_platform, fabric_key, Pattern.SCS,
+                            TWO_TO_ONE, 16, "fast", **kw)
     assert sanitized == plain
+    assert _model_digest(eng) == _model_digest(plain_eng)
     assert eng.sanitizer.checks_run > 0
 
 

@@ -3,6 +3,7 @@ and the pytest smoke tier (a small fixed-seed campaign in tier-1)."""
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 
 import pytest
@@ -53,7 +54,11 @@ def test_check_flags_conservation_breakage():
     case = _case()
     pred = predict(case)
     fast = driver_mod._one_loop(case, "fast")
+    before = copy.deepcopy(fast)
     assert not check(case, pred, fast)  # healthy run passes
+    # The reference model is an observer: it reads the outcome it judges
+    # and writes nothing back.
+    assert fast == before
     # Forge an outcome whose post-drain ledger loses one transaction.
     issued, completed, nacks, retries, unrec = fast.totals
     forged = Outcome(report=fast.report, abort="",

@@ -24,7 +24,10 @@ from enum import Enum
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.axi.master import MasterPort
 from repro.axi.transaction import AxiTransaction
+from repro.check.sanitizer import CheckedBankSet, Sanitizer
+from repro.conformance.case import FuzzCase
 from repro.core.mao import MaoConfig
 from repro.dram.controller import SchedulerConfig
 from repro.errors import SimulationError
@@ -33,6 +36,7 @@ from repro.faults import FaultEvent, FaultKind, FaultPlan
 from repro.params import DEFAULT_PLATFORM
 from repro.sim import Engine, SimConfig
 from repro.sim.config import ENGINE_TIERS
+from repro.telemetry import Telemetry
 from repro.traffic import make_hotspot_sources, make_pattern_sources
 from repro.types import Pattern, RWRatio, READ_ONLY, TWO_TO_ONE
 
@@ -118,6 +122,14 @@ def _run(small_platform, fabric_key, pattern, rw, outstanding, engine,
 #: Values hashed whole, by type and ``repr`` (floats repr exactly).
 _LEAVES = (type(None), int, float, str, Enum)
 
+#: Observers own their ledgers; they hash as skipped.
+_OBSERVERS = (Sanitizer, Telemetry)
+
+#: Fields that are not model state: ``uid`` numbers transactions from a
+#: process-global counter, and ``on_issue`` holds the issue hook chain,
+#: which is ``None`` unless a watchdog or the sanitizer is attached.
+_SKIPPED_FIELDS = ((AxiTransaction, "uid"), (MasterPort, "on_issue"))
+
 
 def _fields(obj):
     """``(name, value)`` of every set instance field of ``obj`` —
@@ -131,8 +143,7 @@ def _fields(obj):
     if not names and state is None:
         return None
     skip = {"__dict__", "__weakref__"}
-    if isinstance(obj, AxiTransaction):
-        skip.add("uid")
+    skip.update(name for cls, name in _SKIPPED_FIELDS if isinstance(obj, cls))
     fields = [(n, getattr(obj, n)) for n in names
               if n not in skip and hasattr(obj, n)]
     if state is not None:
@@ -149,17 +160,22 @@ def state_digest(*roots) -> str:
     generators) hash through their pickle reduction.  An object met a
     second time hashes as a back-reference to its first visit, so
     shared and cyclic structure is walked once and its sharing is part
-    of the digest.  Three things are skipped: callables (hooks and
-    completion callbacks), weak proxies (the controller→fabric wiring)
-    and ``AxiTransaction.uid``, which numbers transactions from a
-    process-global counter.
+    of the digest.  Skipped are callables (hooks and completion
+    callbacks), weak proxies (the controller→fabric wiring), the
+    observers (:data:`_OBSERVERS`) and the fields in
+    :data:`_SKIPPED_FIELDS`.  The sanitizer's bank-set proxy hashes as
+    the bank set it wraps, so a run digests the same with observers
+    attached or not.
     """
     out = []
     seen = {}  # id -> (visit ordinal, object); holding the object pins its id
     stack = [("", root) for root in reversed(roots)]
     while stack:
         label, obj = stack.pop()
-        if callable(obj) or type(obj) in weakref.ProxyTypes:
+        if isinstance(obj, CheckedBankSet):
+            obj = obj._inner
+        if (callable(obj) or isinstance(obj, _OBSERVERS)
+                or type(obj) in weakref.ProxyTypes):
             token = "~"
         elif isinstance(obj, bytes):  # array buffers: hash, don't repr
             token = "bytes:" + hashlib.sha256(obj).hexdigest()
@@ -375,6 +391,26 @@ def test_drain_of_starved_fabric_jumps_to_deadline(small_platform):
     assert errors["fast"] == errors["legacy"]
     assert steps["legacy"] == 5_000
     assert steps["fast"] < 1_000
+
+
+def test_drain_error_counts_writes_buffered_in_controllers():
+    """Posted writes queued for a channel that died with no degrade remap
+    were acknowledged on accept, so they hold no master credit.  The
+    drain error must still count them, or it reports nothing stuck."""
+    case = FuzzCase.from_sample(
+        {"fabric": "mao", "pattern": "SCS", "rw": "0:1", "burst_len": 16,
+         "outstanding": 4, "cycles": 900, "warmup_div": 3,
+         "fault": "offline-strict", "platform": "small"}, seed=1)
+    fabric, sources = case.build()
+    eng = Engine(fabric, sources, case.sim_config(), faults=case.fault_plan())
+    eng.run()
+    with pytest.raises(SimulationError) as exc:
+        eng.drain(max_cycles=case.drain_budget)
+    credits = sum(mp.outstanding for mp in eng.masters)
+    buffered = sum(mc.in_flight() for mc in fabric.mcs)
+    assert credits == 0 and buffered > 0
+    assert (f"({credits} master credits outstanding, {buffered} "
+            f"transactions buffered in memory controllers)") in str(exc.value)
 
 
 WRITE_ONLY = RWRatio(0, 1)

@@ -24,6 +24,8 @@ from repro.telemetry import (
 from repro.traffic import make_pattern_sources
 from repro.types import Pattern, READ_ONLY, TWO_TO_ONE
 
+from tests.test_engine_fastpath import _model_digest
+
 FABRICS = {
     "xlnx": SegmentedFabric,
     "mao": MaoFabric,
@@ -161,12 +163,14 @@ class TestSampler:
                               for f, p, r in GRID])
 def test_telemetry_is_a_pure_observer(small_platform, fabric_key, pattern,
                                       rw):
-    """Reports are bit-identical with telemetry on vs. off, on the fast
-    path — sampling must never perturb the simulation."""
-    _, plain = _run(small_platform, fabric_key, pattern, rw, telemetry=False)
-    _, observed = _run(small_platform, fabric_key, pattern, rw,
-                       telemetry=True)
+    """Reports and model state are bit-identical with telemetry on vs.
+    off, on the fast path — sampling must never perturb the simulation."""
+    plain_eng, plain = _run(small_platform, fabric_key, pattern, rw,
+                            telemetry=False)
+    eng, observed = _run(small_platform, fabric_key, pattern, rw,
+                         telemetry=True)
     assert plain == observed
+    assert _model_digest(eng) == _model_digest(plain_eng)
 
 
 def test_pure_observer_on_jumpy_workload(small_platform):

@@ -114,6 +114,25 @@ def test_step10_profile():
     assert len(tele.series("master[0].credits_in_use")) == tele.num_samples
 
 
+def test_step14_observers_leave_the_model_alone():
+    from repro import make_fabric
+    from repro.sim import Engine, SimConfig
+    from repro.traffic import make_pattern_sources
+    from repro.types import FabricKind, Pattern
+    from tests.test_engine_fastpath import state_digest
+
+    def final_digest(**observers):
+        fabric = make_fabric(FabricKind.MAO)
+        sources = make_pattern_sources(Pattern.SCS,
+                                       address_map=fabric.address_map)
+        cfg = SimConfig(cycles=1200, warmup=300, **observers)
+        eng = Engine(fabric, sources, cfg)
+        eng.run()
+        return state_digest(eng.fabric, eng.masters)
+
+    assert final_digest() == final_digest(sanitize=True, telemetry=True)
+
+
 def test_appendix_spmv():
     from repro import make_fabric
     from repro.accelerators import make_spmv_sources
