@@ -34,13 +34,15 @@ A controller that cannot act sleeps.  Each :meth:`MemoryController.step`
 ends by storing :attr:`~MemoryController.wake`, the earliest cycle at
 which the next step can change state, computed from what the step just
 touched; the fabrics skip the call before it and read it as the
-controller's term of their event horizon.
+controller's term of their event horizon.  A PCH whose reads wait only
+for room in its response FIFO is woken by the pop that makes it.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence
 
@@ -99,17 +101,20 @@ class MemoryController:
     in practice a :class:`~repro.fabric.links.Fifo`), or is ``None`` when
     the fabric accepts read data unconditionally.  The scheduler reads
     the FIFOs' occupancy; it never pushes into them — delivered read
-    data still goes through ``on_read_data``.
+    data still goes through ``on_read_data``.  It sets a FIFO's
+    ``waiter`` to a weak reference to itself while the PCH is parked
+    (below), and the grant that pops the FIFO wakes it.
 
     :attr:`wake` is the earliest cycle at which :meth:`step` can change
     state.  The step that stores it takes the minimum of the due cycle
     of the next booked read and, per live PCH with a non-empty queue,
     ``floor(bus_free - horizon) + 1`` when the bus is booked past the
-    horizon or ``cycle + 1`` when a pick failed (a closed port gate or
-    response path must be probed again every cycle, since each probe
-    counts in ``port_stalls``).  Queues of an offline PCH add no term:
-    they stay parked until a fault event, to which every engine jump is
-    clamped.  :meth:`try_accept` lowers it to the current cycle.  A step
+    horizon or ``cycle + 1`` when a pick failed (a closed port gate must
+    be probed again every cycle, since each probe counts in
+    ``port_stalls``).  Queues of an offline PCH add no term: they stay
+    parked until a fault event, to which every engine jump is clamped.
+    Nor does a parked PCH's queue, which waits for its response FIFO to
+    pop.  :meth:`try_accept` lowers it to the current cycle.  A step
     before :attr:`wake` is a no-op, so the fabrics skip it.
 
     A PCH is *reads-only* when its last pick failed on a full response
@@ -118,7 +123,11 @@ class MemoryController:
     pick fails the same way while the response path stays full, and
     makes exactly one port-gate probe: the read gate, because the
     window's first entry always passes the order filter.  The
-    scheduling loop then replays that probe instead of scanning.
+    scheduling loop then replays that probe instead of scanning.  When
+    the read gate is open the replay has no effect, and the gate stays
+    open until the PCH is served, so the PCH is *parked*: it adds no
+    term to :attr:`wake` until its response FIFO pops, an accept or a
+    flush clears the flag, or the channel goes offline.
     """
 
     def __init__(
@@ -172,6 +181,9 @@ class MemoryController:
         self.wake: float = math.inf
         #: Per local PCH: whether it is reads-only (see the class doc).
         self._reads_only: List[bool] = [False] * len(pchs)
+        #: What a parked PCH's response FIFO holds as its ``waiter``: a
+        #: weak reference, so the FIFO does not keep this controller alive.
+        self._weak_self = weakref.ref(self)
         self._local_index = {p.index: i for i, p in enumerate(pchs)}
 
     # -- fabric-facing -------------------------------------------------------
@@ -222,7 +234,8 @@ class MemoryController:
             return False
         txn.accept_cycle = cycle
         q.append(txn)
-        self._reads_only[li] = False
+        if self._reads_only[li]:
+            self._clear_reads_only(li)
         if cycle < self.wake:
             self.wake = cycle
         self.accepts += 1
@@ -262,6 +275,8 @@ class MemoryController:
                 # A dead channel services nothing; without a degradation
                 # policy its queued requests sit here until the watchdog
                 # turns the silence into a TransactionTimeout.
+                if reads_only[li]:
+                    self._clear_reads_only(li)
                 continue
             q = self.queues[li]
             while q:
@@ -277,11 +292,18 @@ class MemoryController:
                     if (len(fifo.items) + self._pending_reads[li]
                             >= fifo.capacity):
                         # The pick would fail again; replay its one
-                        # side effect, the read-gate probe.
-                        pch.channel_open(True, cycle)
-                        wake = cycle + 1
+                        # side effect, the read-gate probe.  A closed
+                        # gate counts a port stall, so probe again next
+                        # cycle.  An open gate stays open until this PCH
+                        # is served, so the replay is a no-op until the
+                        # FIFO pops: park the PCH, and let that pop wake
+                        # this controller.
+                        if pch.channel_open(True, cycle):
+                            fifo.waiter = self._weak_self
+                        else:
+                            wake = cycle + 1
                         break
-                    reads_only[li] = False
+                    self._clear_reads_only(li)
                 idx = self._pick(q, pch, li, cycle)
                 if idx is None:
                     wake = cycle + 1
@@ -381,8 +403,15 @@ class MemoryController:
         q = self.queues[li]
         flushed = list(q)
         q.clear()
-        self._reads_only[li] = False
+        if self._reads_only[li]:
+            self._clear_reads_only(li)
         return flushed
+
+    def _clear_reads_only(self, li: int) -> None:
+        """Local PCH ``li`` is no longer reads-only, nor parked on its
+        response FIFO."""
+        self._reads_only[li] = False
+        self.response_fifos[li].waiter = None
 
     def queued(self, pch_index: int) -> int:
         """Scheduler-queue depth of one fronted PCH (telemetry gauge)."""

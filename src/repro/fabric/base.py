@@ -16,7 +16,9 @@ The engine drives it through a narrow interface:
   earliest future cycle at which stepping it (absent new submissions)
   could change observable state.  The engine's fast path uses it to jump
   the clock over provably empty cycles; a conservative answer of
-  ``cycle + 1`` is always correct and merely disables skipping.
+  ``cycle + 1`` is always correct and merely disables skipping,
+* :meth:`BaseFabric.settle` — bring lazily kept counters up to date
+  where an engine loop stops.
 """
 
 from __future__ import annotations
@@ -162,6 +164,17 @@ class BaseFabric:
                 if nxt <= cycle + 1:
                     break
         return nxt if nxt > cycle + 1 else cycle + 1
+
+    def settle(self, cycle: int) -> None:
+        """Bring lazily kept counters up to date through ``cycle``.
+
+        Both engine loops call it where they stop — the end of a run and
+        of a successful drain — so the state either loop leaves behind
+        is the same however many cycles it stepped.  The segmented
+        fabric's links count the stalls of a sleeping output when it
+        wakes (:meth:`~repro.fabric.links.ArbOutput.settle`); the base
+        fabric keeps no such counter.
+        """
 
     def _ingress_event(self, cycle: int, in_transit: List[tuple]) -> float:
         """Horizon term of a heap-fed ingress: ``in_transit`` arrivals

@@ -138,6 +138,7 @@ class Engine:
         else:
             self._run_legacy()
         fabric = self.fabric
+        fabric.settle(self.cycle)
         masters = self.masters
         if self.sanitizer is not None:
             self.sanitizer.finish()
@@ -406,6 +407,7 @@ class Engine:
                 if fabric.quiescent() and all(
                         mp.outstanding == 0 and not mp.retry_pending
                         for mp in masters):
+                    fabric.settle(cycle)
                     if san is not None:
                         san.check_drained()
                     return cycle - start + 1

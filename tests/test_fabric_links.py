@@ -1,11 +1,15 @@
 """Unit tests for the interconnect primitives (FIFOs, arbitrated buses)."""
 
+import math
+import weakref
+
 import pytest
 
 from repro.axi import AxiTransaction
 from repro.errors import SimulationError
 from repro.fabric.links import ArbOutput, Fifo, Flit, SharedBus, REQUEST
 from repro.types import Direction
+from tests.test_engine_fastpath import state_digest
 
 
 def _flit(route, weight=1, master=0):
@@ -26,7 +30,7 @@ class TestFifo:
         f = Fifo(2)
         f.append(_flit([]))
         f.append(_flit([]))
-        assert f.full
+        assert len(f) == f.capacity
         with pytest.raises(SimulationError):
             f.append(_flit([]))
 
@@ -93,10 +97,8 @@ class TestArbOutput:
             fa.route = fb.route = (bus,)
             flits.append((fa, fb))
         for fa, fb in flits[:10]:
-            if not a.full:
-                a.append(fa)
-            if not b.full:
-                b.append(fb)
+            a.append(fa)
+            b.append(fb)
         for c in range(12):
             bus.step(c)
         masters = [f.txn.master for f in dst.items]
@@ -250,3 +252,87 @@ class TestEligibleHeads:
             out.step(1)
         assert bus_a.granted_flits == 1
         assert bus_a.busy_until == (2.0 if a_first else 1.0)
+
+
+class TestSleep:
+    """An output sleeps while it cannot act and counts the grant stalls
+    it sleeps through when it wakes."""
+
+    _blocked_pair = TestEligibleHeads._blocked_pair
+
+    @pytest.mark.parametrize("slept", [1, 7])
+    def test_woken_output_adds_the_stalls_it_slept_through(self, slept):
+        src, _, bus_a, _ = self._blocked_pair()
+        bus_a.step(0)  # head-of-line blocked: one stall, then asleep
+        assert (bus_a.grant_stalls, bus_a.wake) == (1, math.inf)
+        # Cycles 1..slept pass without a step; the blocking head leaves
+        # in the last of them, which wakes bus_a for the next cycle.
+        src.popleft()
+        assert bus_a.wake <= slept + 1
+        assert [bus_a.stalls(c) for c in range(slept + 1)] == \
+            list(range(1, slept + 2))
+        bus_a.step(slept + 1)
+        assert bus_a.grant_stalls == 1 + slept
+        assert bus_a.granted_flits == 1
+        assert bus_a.stalls(slept + 1) == bus_a.grant_stalls
+
+    def test_reading_stalls_is_pure(self):
+        _, _, bus_a, bus_b = self._blocked_pair()
+        bus_a.step(0)
+        before = state_digest(bus_a, bus_b)
+        assert bus_a.stalls(9) == bus_a.stalls(9) == 10
+        assert state_digest(bus_a, bus_b) == before
+
+    def test_settle_keeps_the_output_asleep(self):
+        src, _, bus_a, _ = self._blocked_pair()
+        bus_a.step(0)
+        bus_a.settle(4)
+        assert (bus_a.grant_stalls, bus_a.stalls(4)) == (5, 5)
+        src.popleft()
+        bus_a.step(9)  # stalled through cycle 8, grants at 9
+        assert (bus_a.grant_stalls, bus_a.granted_flits) == (9, 1)
+
+    def test_transmitting_output_sleeps_until_its_bus_frees(self):
+        src, dst = Fifo(4), Fifo(4)
+        bus = _bus([src], dst, latency=5)
+        f1, f2 = _flit([None], 16), _flit([None], 16)
+        f1.route = f2.route = (bus,)
+        src.append(f1)
+        src.append(f2)
+        bus.step(0)
+        assert bus.wake == 16.0
+        bus.step(16)  # grants f2; nothing left, so it wakes to deliver
+        assert bus.pending_in == 0 and bus.wake == 16 + 5
+        assert bus.grant_stalls == 0
+
+    def test_freed_slot_wakes_the_feeder(self):
+        """A pop from the FIFO an output feeds wakes it: the popped
+        flit's previous hop is that output."""
+        src, dst = Fifo(4), Fifo(1)
+        bus = _bus([src], dst)
+        f1, f2 = _flit([None], 1), _flit([None], 1)
+        f1.route = f2.route = (bus,)
+        src.append(f1)
+        src.append(f2)
+        bus.step(0)
+        bus.step(1)  # delivers f1 into the full-size-1 dst, cannot grant
+        assert (bus.wake, bus.grant_stalls) == (math.inf, 1)
+        assert dst.popleft() is f1
+        assert bus.wake <= 2
+        bus.step(2)
+        assert (bus.granted_flits, bus.grant_stalls) == (2, 1)
+
+    def test_parked_controller_woken_by_the_grant_that_pops(self):
+        """A controller parked on a response FIFO is held weakly and
+        woken for the cycle after the grant that frees a slot."""
+        class Controller:
+            wake = math.inf
+        mc = Controller()
+        src, dst = Fifo(4), Fifo(4)
+        bus = _bus([src], dst)
+        f = _flit([None], 1)
+        f.route = (bus,)
+        src.append(f)
+        src.waiter = weakref.ref(mc)
+        bus.step(3)
+        assert (mc.wake, src.waiter) == (4, None)

@@ -1,17 +1,23 @@
 """Integration-level tests of the three fabric models."""
 
+import math
+
 import pytest
 
 from repro.axi import AxiTransaction
 from repro.core.address_map import ContiguousMap, InterleavedMap
 from repro.core.mao import MaoConfig, MaoVariant
-from repro.dram.controller import SchedulerConfig
+from repro.dram.controller import MemoryController, SchedulerConfig
+from repro.errors import ReproError
 from repro.fabric import IdealFabric, MaoFabric, SegmentedFabric
+from repro.fabric.links import ArbOutput
 from repro.params import DEFAULT_PLATFORM, HbmPlatform
 from repro.sim import Engine, SimConfig
 from repro.traffic import make_hotspot_sources, make_pattern_sources
 from repro.types import Direction, Pattern, RWRatio, TWO_TO_ONE
-from tests.test_engine_fastpath import FABRICS, FAULT_PLANS
+from tests.test_engine_fastpath import FABRICS, FAULT_GRID, FAULT_PLANS
+from tests.test_model_freeze import (_fault_engine, _table4_engine,
+                                     link_stall_plan)
 
 SMALL = HbmPlatform(num_pch=8, pch_capacity=64 * 1024 * 1024)
 
@@ -371,12 +377,25 @@ def _order_eligible(mc, q):
     return eligible
 
 
+def _parked(mc, li, cycle):
+    """Whether local PCH ``li`` of ``mc`` is parked: reads-only, its
+    response FIFO plus booked reads full, and its read gate open (read
+    without the probe's side effect; debt 0 is the read direction's), so
+    no pick can change anything before that FIFO pops."""
+    fifo = mc.response_fifos[li]
+    pch = mc.pchs[li]
+    return (mc._reads_only[li]
+            and len(fifo.items) + mc._pending_reads[li] >= fifo.capacity
+            and pch.chan_debt[0] <= cycle + pch.timing.port_slack_cycles)
+
+
 def _step_wake_checked(engine):
     """Check every controller's wake after every fabric step of a run and
     drain; returns how often a controller with queued work slept past
-    the next cycle and how often a PCH was flagged reads-only."""
+    the next cycle, how often a PCH was flagged reads-only, and how often
+    a sleeping controller left a parked PCH to its FIFO's pop."""
     fabric = engine.fabric
-    counts = {"booked": 0, "reads_only": 0}
+    counts = {"booked": 0, "reads_only": 0, "parked": 0}
     real_step = fabric.step
 
     def checked_step(cycle):
@@ -388,12 +407,19 @@ def _step_wake_checked(engine):
                 # No booked read is due before the wake ...
                 assert all(event[0] > wake - 1 for event in mc._pending), \
                     f"mc{mc.index} sleeps past a read at {cycle}"
-                # ... and no live queue may pick before it.
-                live = [pch for li, pch in enumerate(mc.pchs) if mc.queues[li]
+                # ... and no live queue may pick before it, unless its
+                # PCH is parked and the FIFO it waits on will wake it.
+                live = [li for li, pch in enumerate(mc.pchs) if mc.queues[li]
                         and not (pch.fault and pch.fault.offline)]
-                for pch in live:
-                    assert pch.bus_free >= wake - 1 + mc.sched.horizon, \
+                for li in live:
+                    pch = mc.pchs[li]
+                    if pch.bus_free >= wake - 1 + mc.sched.horizon:
+                        continue
+                    assert _parked(mc, li, cycle), \
                         f"mc{mc.index} PCH {pch.index} sleeps at {cycle}"
+                    assert mc.response_fifos[li].waiter() is mc, \
+                        f"mc{mc.index} PCH {pch.index} parked unwired"
+                    counts["parked"] += 1
                 counts["booked"] += bool(live)
             for li, flagged in enumerate(mc._reads_only):
                 if flagged:
@@ -409,8 +435,9 @@ def _step_wake_checked(engine):
 
 class TestControllerWake:
     """A controller's ``wake`` is never later than the first cycle its
-    step can change state, and a reads-only PCH's window holds no write
-    the scheduler could pick."""
+    step can change state — a parked PCH waits for its response FIFO's
+    pop — and a reads-only PCH's window holds no write the scheduler
+    could pick."""
 
     @pytest.mark.parametrize("fabric_key", sorted(FABRICS))
     def test_table4_ccra(self, fabric_key):
@@ -424,6 +451,7 @@ class TestControllerWake:
         assert counts["booked"] > 1000
         if fabric_key == "xlnx":
             assert counts["reads_only"] > 1000
+            assert counts["parked"] > 1000
 
     @pytest.mark.parametrize("fabric_key", sorted(FABRICS))
     def test_one_entry_queues(self, fabric_key):
@@ -452,3 +480,176 @@ class TestControllerWake:
             faults=FAULT_PLANS[plan_key])
         assert _step_wake_checked(engine)["booked"] > 100
         assert sum(mp.nacks for mp in engine.masters) > 0
+
+
+def _per_cycle_stall(out, cycle):
+    """Whether the per-cycle rule counts a grant stall for ``out`` at its
+    turn in ``cycle``: flits pending, its own bus free, and the shared
+    lateral held by the partner direction, no eligible head, or no room
+    downstream (what a failing round-robin scan finds)."""
+    if not out.pending_in or out.busy_until > cycle:
+        return False
+    shared = out.shared
+    return ((shared is not None and shared.busy_until > cycle)
+            or not out.ready_in
+            or len(out.dest.items) + out.reserved >= out.dest.capacity)
+
+
+def _step_links_checked(engine):
+    """Check every output's sleep after every fabric step of a run and
+    drain; returns the grant stalls and the output steps counted.
+
+    A shadow count applies the per-cycle rule to every output at its
+    turn in the fabric's loop, asleep or not: the output lists are
+    swapped for lists that evaluate the rule as they hand each output
+    out.  The settled count must equal it after every step.
+    """
+    fabric = engine.fabric
+    shadow = dict.fromkeys(fabric._outputs, 0)
+    counts = {"stalls": 0, "steps": 0}
+
+    class Turns(list):
+        def __iter__(self):
+            for out in list.__iter__(self):
+                if _per_cycle_stall(out, fabric.now):
+                    shadow[out] += 1
+                counts["steps"] += out.wake <= fabric.now
+                yield out
+    fabric._request_outputs = Turns(fabric._request_outputs)
+    fabric._response_outputs = Turns(fabric._response_outputs)
+    real_step = fabric.step
+
+    def checked_step(cycle):
+        real_step(cycle)
+        for out in fabric._outputs:
+            if not out.pending_in:
+                due = (math.ceil(out.in_flight[0][0]) if out.in_flight
+                       else math.inf)
+                assert out.wake == due, f"{out.name} idle, wake at {cycle}"
+            assert out.stalls(cycle) == shadow[out], \
+                f"{out.name} stall count at {cycle}"
+    fabric.step = checked_step
+    engine.run()
+    engine.drain(max_cycles=20_000)
+    assert all(out.grant_stalls == shadow[out] for out in fabric._outputs)
+    counts["stalls"] = sum(shadow.values())
+    return counts
+
+
+class TestLinkWake:
+    """An arbitration output sleeps only while it cannot act, and the
+    stalls it sleeps through are counted exactly: an idle output wakes
+    at its next delivery, and the settled ``grant_stalls`` equal a
+    per-cycle count after every fabric step."""
+
+    def test_table4_ccra(self):
+        fabric = SegmentedFabric(DEFAULT_PLATFORM)
+        sources = make_pattern_sources(
+            Pattern.CCRA, DEFAULT_PLATFORM, burst_len=16, rw=TWO_TO_ONE,
+            address_map=fabric.address_map, seed=5)
+        engine = Engine(fabric, sources, SimConfig(
+            cycles=1500, warmup=300, engine="legacy"))
+        counts = _step_links_checked(engine)
+        # Most stalls are slept through, not stepped.
+        assert counts["stalls"] > 50_000
+        assert counts["steps"] < counts["stalls"] / 4
+
+    @pytest.mark.parametrize("plan_key", ["stall-offline", "offline-degrade",
+                                          "hotspot-degrade"])
+    def test_fault_plans(self, plan_key):
+        fabric = SegmentedFabric(SMALL)
+        make = (make_hotspot_sources if plan_key == "hotspot-degrade"
+                else make_pattern_sources)
+        # Crossing traffic, so the link stall meets sleeping outputs.
+        target = 0 if plan_key == "hotspot-degrade" else Pattern.CCRA
+        sources = make(target, SMALL, burst_len=8, rw=TWO_TO_ONE,
+                       address_map=fabric.address_map)
+        engine = Engine(fabric, sources, SimConfig(
+            cycles=1200, warmup=300, outstanding=16, engine="legacy",
+            txn_timeout_cycles=4000, progress_timeout_cycles=4000),
+            faults=FAULT_PLANS[plan_key])
+        assert _step_links_checked(engine)["stalls"] > 100
+
+
+def _eager_vs_sleeping_points():
+    """``(point id, engine factory)``: the frozen vendor-fabric points
+    where outputs block on lateral buses (default platform, CCRA and
+    CCS, the link stalls on crossing traffic) or meet faults (the small
+    platform's fault grid).  Each factory takes ``SimConfig`` keywords."""
+    points = [(f"default/xlnx/{p.name}",
+               lambda p=p, **kw: _table4_engine(p, **kw))
+              for p in (Pattern.CCRA, Pattern.CCS)]
+    points += [(f"default/xlnx/CCRA/link-stall-{tag}",
+                lambda c=cut, **kw: _table4_engine(
+                    Pattern.CCRA, link_stall_plan(c), **kw))
+               for tag, cut in (("all", None), ("cut3", 3))]
+    points += [(f"xlnx/fault/{plan}",
+                lambda k=plan, **kw: _fault_engine(SMALL, "xlnx", k, **kw))
+               for fabric_key, plan in FAULT_GRID if fabric_key == "xlnx"]
+    return points
+
+
+EAGER_POINTS = _eager_vs_sleeping_points()
+
+
+def _observed_run(make, eager):
+    """Run and drain one point on the per-cycle loop, sampling telemetry
+    every cycle; returns the engine, its report and the drain's result.
+
+    ``eager`` steps every arbitration output and memory controller on
+    every cycle: their ``wake`` starts at 0, and the caller makes each
+    step reset it to 0 and the link probes read the raw stall count.  A
+    step before ``wake`` is a no-op by design, and an output stepped
+    every cycle counts each stall in its own cycle, so this is the
+    per-cycle rule the sleep replaces."""
+    engine = make(engine="legacy", telemetry=True, telemetry_interval=1)
+    if eager:
+        for unit in engine.fabric._outputs + engine.fabric.mcs:
+            unit.wake = 0
+    report = engine.run()
+    try:
+        drained = engine.drain(max_cycles=20_000)
+    except ReproError as exc:  # a fault the drain cannot resolve
+        drained = type(exc).__name__
+    return engine, report, drained
+
+
+def _series(engine):
+    """Every telemetry probe's per-cycle series, by probe name."""
+    tele = engine.telemetry
+    assert len(tele.sample_cycles) == engine.config.cycles
+    return {p.name: [row[i] for row in tele.samples]
+            for i, p in enumerate(tele.probes.probes)}
+
+
+@pytest.mark.parametrize("point", [pid for pid, _ in EAGER_POINTS])
+def test_sleeping_matches_eager_stepping(point, monkeypatch):
+    """The fast-vs-legacy tests share the fabric, so they cannot see the
+    sleep; this compares it with stepping everything every cycle: equal
+    reports, an equal per-cycle series of every telemetry probe (every
+    ``link.*`` stall and occupancy counter included), equal drains and
+    equal settled stall counts."""
+    make = dict(EAGER_POINTS)[point]
+    sleeping, report, drained = _observed_run(make, eager=False)
+
+    def eager(step):
+        def stepped(self, cycle):
+            step(self, cycle)
+            self.wake = 0
+        return stepped
+    monkeypatch.setattr(ArbOutput, "step", eager(ArbOutput.step))
+    monkeypatch.setattr(MemoryController, "step",
+                        eager(MemoryController.step))
+    monkeypatch.setattr(ArbOutput, "stalls",
+                        lambda self, cycle: self.grant_stalls)
+    eager_engine, e_report, e_drained = _observed_run(make, eager=True)
+
+    assert report == e_report
+    series, e_series = _series(sleeping), _series(eager_engine)
+    assert any(name.startswith("link.") for name in series)
+    drift = [name for name in series if series[name] != e_series.get(name)]
+    assert drift == [] and series.keys() == e_series.keys(), \
+        "per-cycle telemetry series differ"
+    assert drained == e_drained
+    assert ([out.grant_stalls for out in sleeping.fabric._outputs]
+            == [out.grant_stalls for out in eager_engine.fabric._outputs])

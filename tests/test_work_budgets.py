@@ -48,6 +48,7 @@ GOLDEN = Path(__file__).parent / "golden" / "work_budgets.json"
 #: ``admits`` are added per point, named after the class defining them.
 FUNCTIONS = {
     "MasterPort.step": MasterPort.step,
+    "ArbOutput.step": ArbOutput.step,
     "ArbOutput._try_grant": ArbOutput._try_grant,
     "MemoryController.step": MemoryController.step,
     "MemoryController._pick": MemoryController._pick,
