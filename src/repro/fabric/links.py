@@ -87,14 +87,6 @@ class Flit:
         self.route = route
         self.hop = 0
 
-    @property
-    def next_output(self) -> Optional["ArbOutput"]:
-        """The ArbOutput this flit must traverse next, or ``None`` if it has
-        arrived at its terminal FIFO."""
-        if self.hop >= len(self.route):
-            return None
-        return self.route[self.hop]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "REQ" if self.phase == REQUEST else "RSP"
         return f"Flit({kind} w={self.weight} hop={self.hop}/{len(self.route)} {self.txn!r})"

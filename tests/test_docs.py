@@ -8,16 +8,16 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
+DOCS = ["README.md", "DESIGN.md", "EXPERIMENTS.md",
+        "docs/CALIBRATION.md", "docs/TUTORIAL.md"]
+
 
 def _read(name):
     return (ROOT / name).read_text()
 
 
 class TestDocFiles:
-    @pytest.mark.parametrize("name", [
-        "README.md", "DESIGN.md", "EXPERIMENTS.md",
-        "docs/CALIBRATION.md", "docs/TUTORIAL.md",
-    ])
+    @pytest.mark.parametrize("name", DOCS)
     def test_exists_and_nonempty(self, name):
         text = _read(name)
         assert len(text) > 500
@@ -30,12 +30,15 @@ class TestDocFiles:
             assert (ROOT / link).exists(), f"broken link: {link}"
 
     def test_design_module_map_paths_exist(self):
-        """Every module path mentioned in DESIGN.md's tables exists."""
-        text = _read("DESIGN.md")
-        for mod in re.findall(r"`([a-z_/]+\.py)`", text):
-            candidates = [ROOT / "src" / "repro" / mod,
-                          ROOT / mod]
-            assert any(c.exists() for c in candidates), f"missing {mod}"
+        """Every ``.py``/``.json`` path in a backtick span of the docs
+        exists under ``src/repro/``, ``src/`` or the repository root."""
+        for name in DOCS:
+            for span in re.findall(r"`([^`\n]+)`", _read(name)):
+                for path in re.findall(r"[\w./-]+\.(?:py|json)\b", span):
+                    candidates = [ROOT / "src" / "repro" / path,
+                                  ROOT / "src" / path, ROOT / path]
+                    assert any(c.exists() for c in candidates), \
+                        f"{name}: missing {path}"
 
     def test_experiments_covers_all_artifacts(self):
         text = _read("EXPERIMENTS.md")
