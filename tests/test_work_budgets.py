@@ -53,6 +53,7 @@ FUNCTIONS = {
     "MemoryController.step": MemoryController.step,
     "MemoryController._pick": MemoryController._pick,
     "MemoryController.try_accept": MemoryController.try_accept,
+    "MemoryController.room": MemoryController.room,
     "BaseFabric._retry_staged": BaseFabric._retry_staged,
 }
 
