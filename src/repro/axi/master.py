@@ -161,8 +161,10 @@ class MasterPort:
         (``inf`` — the engine wakes it explicitly), a pacing-blocked one
         until its meter expires.  A master with a refused transaction
         (:attr:`held_txn`) or a (possibly temporarily) exhausted source
-        is due every cycle; for the former the engine asks the fabric's
-        ``admits`` first instead of stepping it.
+        is due the next cycle.  The fast tier holds the former instead
+        while the fabric still refuses that transaction: it sleeps until
+        the fabric releases it or a completion arrives
+        (``BaseFabric.hold``).
         """
         if self.outstanding >= self.outstanding_limit:
             return math.inf

@@ -8,6 +8,10 @@ The engine drives it through a narrow interface:
   ``False`` on backpressure),
 * :meth:`BaseFabric.admits` — whether ``submit`` would take a
   transaction now (a pure query),
+* :meth:`BaseFabric.hold` — arm the release of a master whose
+  transaction ``submit`` refuses: the event that lets it take the
+  transaction appends the master to :attr:`BaseFabric.released`
+  (:meth:`BaseFabric.clear_holds` disarms every release),
 * :meth:`BaseFabric.step` — advance one fabric cycle,
 * :attr:`BaseFabric.completions` — transactions that finished this cycle
   (drained by the engine),
@@ -78,6 +82,14 @@ class BaseFabric:
         #: Directly scheduled completion events (write acks, etc.).
         self._events: List[tuple] = []
         self._event_seq = 0
+        #: Indices of held masters whose transaction this fabric now
+        #: takes, in release order (see :meth:`hold`); the fast engine
+        #: tier empties it.
+        self.released: List[int] = []
+        #: PCHs the next staging sweep offers staged work to, each once:
+        #: a first arrival in its deque, or a fired room signal (see
+        #: :meth:`_retry_staged`).
+        self._sweep: List[int] = []
         # Refresh phases are staggered across PCHs.
         t = platform.dram
         phase_step = t.t_refi // max(1, platform.num_pch)
@@ -103,6 +115,7 @@ class BaseFabric:
                                 else response_fifos[lo:hi]),
                 mc_latency=platform.fabric.mc_latency,
                 on_nack=lambda txn, time: me._on_nack(txn, time),
+                on_room=lambda pch: me._on_room(pch),
             ))
         #: Hot-path lookup: PCH index -> its memory controller.
         self._mc_by_pch: List[MemoryController] = [
@@ -115,12 +128,32 @@ class BaseFabric:
 
     def admits(self, txn: AxiTransaction) -> bool:
         """Whether :meth:`submit` would take ``txn`` now, without taking
-        it.  A pure query: the fast engine tier asks it before stepping
-        a master whose last offer of ``txn`` was refused.  Each fabric's
-        ``submit`` refuses through this predicate and has no side effect
-        when it does, so the two cannot disagree.  The base fabric
-        refuses nothing."""
+        it.  A pure query: :meth:`hold` asks it when the fast engine
+        tier holds a master whose last offer of ``txn`` was refused.
+        Each fabric's ``submit`` refuses through this predicate and has
+        no side effect when it does, so the two cannot disagree.  The
+        base fabric refuses nothing."""
         return True
+
+    def hold(self, txn: AxiTransaction) -> bool:
+        """Hold ``txn``'s master if :meth:`submit` refuses ``txn`` now.
+
+        When :meth:`admits` refuses it, arm the master's release and
+        return ``True``: the event that lets ``submit`` take ``txn``
+        appends the master's index to :attr:`released` once.  Until
+        then the master's next step can only be refused again, so the
+        fast engine tier does not step it.  Returns ``False``, arming
+        nothing, when ``submit`` would take ``txn``.  Nothing but that
+        master's own ``submit`` can make ``admits`` refuse again, and the
+        master is not stepped meanwhile.  The base fabric refuses
+        nothing, so it never holds."""
+        return False
+
+    def clear_holds(self) -> None:
+        """Disarm every release :meth:`hold` armed and empty
+        :attr:`released`: the fast engine tier calls it where its loop
+        stops, so no hold outlives the loop that made it."""
+        self.released.clear()
 
     def step(self, cycle: int) -> None:
         raise NotImplementedError
@@ -147,11 +180,10 @@ class BaseFabric:
         * **parked offline queues** — a controller's wake has no term
           for the queue of an offline channel; only a fault event can
           revive it, and the engine loops clamp every jump to those;
-        * **staged pops** — this cycle's sweep gave every PCH all the
-          staged arrivals its queue had room for, so a PCH still holding
-          staged work had a full queue, and that work can be accepted no
-          earlier than the cycle after a scheduler pop frees space
-          (:meth:`_ingress_event`).
+        * **staged pops** — staged work for a PCH whose queue was full
+          waits for that PCH's room signal, which only a scheduler pop
+          from its queue or a flush fires; until one fires, no sweep can
+          place it (:meth:`_ingress_event`).
         """
         nxt = math.inf
         ev = self._events
@@ -180,20 +212,16 @@ class BaseFabric:
         """Horizon term of a heap-fed ingress: ``in_transit`` arrivals
         feeding the per-PCH staging (the MAO and ideal fabrics).
 
-        The sweep of the step at ``cycle`` took from each PCH's deque
-        every arrival its queue had room for, so a PCH that still holds
-        staged work had a full queue, and only a scheduler pop frees
-        space.  Staged work therefore pins the horizon to ``cycle + 1``
-        only when some controller popped during this step — pops happen
-        after the sweep — and otherwise waits for the next arrival, whose
-        sweep may find a queue with space.  A starved fabric, every
-        credit parked behind an offline channel, answers ``math.inf``
-        here.
+        Staged work sits only behind a full queue whose room signal is
+        armed (:meth:`_retry_staged`), so the next sweep can place some
+        only for a PCH in :attr:`_sweep`: its signal fired after this
+        step's sweep, when its controller popped.  The horizon is then
+        ``cycle + 1``, and otherwise the next arrival, which may land in
+        an empty deque.  A starved fabric, every credit parked behind an
+        offline channel, answers ``math.inf`` here.
         """
-        if self._staged_count:
-            for mc in self.mcs:
-                if mc.last_pop == cycle:
-                    return cycle + 1
+        if self._sweep:
+            return cycle + 1
         if in_transit:
             return math.ceil(in_transit[0][0])
         return math.inf
@@ -210,6 +238,11 @@ class BaseFabric:
 
     def _on_write_accept(self, txn: AxiTransaction, time: float) -> None:
         raise NotImplementedError
+
+    def _on_room(self, pch: int) -> None:
+        """PCH ``pch``'s room signal fired: its staged work goes to the
+        next sweep.  Only the staging sweep arms the signal here."""
+        self._sweep.append(pch)
 
     # -- shared helpers ----------------------------------------------------------
 
@@ -262,8 +295,31 @@ class BaseFabric:
     def _mcs_quiescent(self) -> bool:
         return all(mc.in_flight() == 0 for mc in self.mcs) and not self._events
 
+    def _land(self, cycle: int, in_transit: List[tuple]) -> None:
+        """Move the arrivals due by ``cycle`` from the ``in_transit``
+        heap to their PCHs' staging deques, then sweep.  A PCH whose
+        deque was empty joins the sweep."""
+        staged = self._staged
+        sweep = self._sweep
+        while in_transit and in_transit[0][0] <= cycle:
+            entry = heapq.heappop(in_transit)
+            pch = entry[2].pch
+            if not staged[pch]:
+                sweep.append(pch)
+            staged[pch].append(entry)
+            self._staged_count += 1
+        if sweep:
+            self._retry_staged(cycle)
+
     def _retry_staged(self, cycle: int) -> None:
         """Hand staged arrivals to the queues with room, oldest first.
+
+        Only the PCHs in :attr:`_sweep` can take any.  Every other PCH
+        with staged work was left with it by an earlier sweep, which
+        armed its room signal because its queue was full; its queue has
+        not shrunk since, or the signal would have fired and put it in
+        :attr:`_sweep`.  So the sweep asks :meth:`room` of those PCHs
+        only, and arms the signal of each that still holds staged work.
 
         A scheduler queue only grows during the sweep (pops happen in
         the controllers' step, after it), so PCH ``p`` takes exactly the
@@ -276,13 +332,18 @@ class BaseFabric:
         ties break by sequence.
         """
         mc_by_pch = self._mc_by_pch
+        staged_by_pch = self._staged
         taken: List[tuple] = []
-        for pch, staged in enumerate(self._staged):
+        for pch in self._sweep:
+            staged = staged_by_pch[pch]
+            mc = mc_by_pch[pch]
+            room = mc.room(pch)
+            while room > 0 and staged:
+                taken.append(staged.popleft())
+                room -= 1
             if staged:
-                room = mc_by_pch[pch].room(pch)
-                while room > 0 and staged:
-                    taken.append(staged.popleft())
-                    room -= 1
+                mc.arm_room(pch)
+        self._sweep.clear()
         if taken:
             self._staged_count -= len(taken)
             taken.sort()

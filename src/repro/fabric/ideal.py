@@ -54,14 +54,7 @@ class IdealFabric(BaseFabric):
 
     def step(self, cycle: int) -> None:
         if cycle >= self._stall_until:
-            transit = self._in_transit
-            staged = self._staged
-            while transit and transit[0][0] <= cycle:
-                entry = heapq.heappop(transit)
-                staged[entry[2].pch].append(entry)
-                self._staged_count += 1
-            if self._staged_count:
-                self._retry_staged(cycle)
+            self._land(cycle, self._in_transit)
         for mc in self.mcs:
             if mc.wake <= cycle:
                 mc.step(cycle)

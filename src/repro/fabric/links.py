@@ -35,9 +35,11 @@ so ``grant_stalls`` lags mid-run: :meth:`ArbOutput.stalls` reads the
 settled count without changing anything, and :meth:`ArbOutput.settle`
 (called where an engine loop stops) brings the field up to date.  A
 step before ``wake`` changes nothing but when those stalls are added,
-so stepping every output every cycle remains a correct reference.  A
-memory controller parked on a full read-data FIFO is woken the same
-way, by the grant that pops that FIFO (``Fifo.waiter``).
+so stepping every output every cycle remains a correct reference.
+Whatever else waits for a FIFO to pop registers a ``Fifo.waiter``, and
+the grant that pops the FIFO calls it: a memory controller parked on a
+full read-data FIFO, and a master the fast engine tier holds on a full
+ingress FIFO.
 
 Backpressure is credit-based: a grant is only issued when the destination
 FIFO has a free slot, which the output reserves until delivery.  Every
@@ -54,7 +56,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Any, Callable, Deque, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, List, Optional, Sequence, Tuple
 
 from ..axi.transaction import AxiTransaction
 from ..errors import SimulationError
@@ -121,11 +123,13 @@ class Fifo:
         self.items: Deque[Flit] = deque()
         self.capacity = capacity
         self.name = name
-        #: Weak reference to the memory controller parked on this FIFO
-        #: (a PCH's read-data FIFO, while that PCH's reads wait for
-        #: room), else ``None``.  The grant that pops it wakes the
-        #: controller; see :meth:`ArbOutput._try_grant`.
-        self.waiter: Optional[Callable[[], Any]] = None
+        #: What waits for this FIFO to pop, else ``None``: a callable
+        #: that the grant that pops it clears and calls with the cycle
+        #: (:meth:`ArbOutput._try_grant`).  A memory controller parks a
+        #: PCH's read-data FIFO on it while that PCH's reads wait for
+        #: room, and the vendor fabric a held master's ingress FIFO.
+        #: Neither callable keeps its owner alive.
+        self.waiter: Optional[Callable[[int], None]] = None
 
     def __len__(self) -> int:
         return len(self.items)
@@ -353,12 +357,9 @@ class ArbOutput:
             fifo.popleft()
             waiter = fifo.waiter
             if waiter is not None:
-                # The freed slot is what the parked controller waits
-                # for: it can book a read next cycle.
+                # The freed slot is what the waiter waits for.
                 fifo.waiter = None
-                mc = waiter()
-                if mc.wake > cycle + 1:
-                    mc.wake = cycle + 1
+                waiter(cycle)
             start = float(cycle)
             if self.last_input != idx and self.last_input != -1 and self.dead_cycles:
                 start += self.dead_cycles

@@ -39,8 +39,8 @@ RESPONSE_CAPACITY = 16
 #: Landing FIFO in front of each memory controller.
 MC_IN_CAPACITY = 16
 
-#: Completion FIFOs are drained every cycle; generous to avoid artificial
-#: stalls of the final egress hop.
+#: Completion FIFOs are drained right after their egress output steps;
+#: generous to avoid artificial stalls of the final egress hop.
 COMPLETION_CAPACITY = 64
 
 
@@ -82,6 +82,16 @@ class SegmentedFabric(BaseFabric):
         # port on the memory-controller side.
         self.mc_in = [Fifo(MC_IN_CAPACITY, f"mc_in[{i}]")
                       for i in range(platform.num_pch)]
+        #: Per PCH: whether its landing FIFO's head was refused and waits
+        #: for the PCH's room signal (see :meth:`step`).
+        self._landing_blocked = [False] * platform.num_pch
+        released = self.released
+        #: Per master: the ingress FIFO ``waiter`` that releases it when
+        #: held (:meth:`hold`).  It refers to the release list only, so it
+        #: keeps no fabric alive.
+        self._release_on_pop = [
+            (lambda cycle, m=m: released.append(m))
+            for m in range(platform.num_masters)]
         # Lateral hop FIFOs: [switch][side][parity].  ``side`` is the side
         # of *this* switch the bus arrives on: LEFT = from switch s-1.
         self.lat_req_in = [
@@ -174,6 +184,8 @@ class SegmentedFabric(BaseFabric):
         #: Memoized hop lists keyed by (master, pch) / (pch, master).
         self._req_routes: dict = {}
         self._resp_routes: dict = {}
+        #: The outputs in the order :meth:`step` steps them: request
+        #: outputs, lateral response outputs, then :attr:`egress_out`.
         self._request_outputs: List[ArbOutput] = []
         self._response_outputs: List[ArbOutput] = []
         for s in range(ns):
@@ -186,8 +198,8 @@ class SegmentedFabric(BaseFabric):
                     out = self.lat_resp_out[s][side][k]
                     if out is not None:
                         self._response_outputs.append(out)
-        self._response_outputs.extend(self.egress_out)
-        self._outputs = self._request_outputs + self._response_outputs
+        self._outputs = (self._request_outputs + self._response_outputs
+                         + self.egress_out)
         #: The last cycle stepped or settled: the cycle through which the
         #: stall probes settle the links' lazily kept stall counts.
         self.now = -1
@@ -246,11 +258,25 @@ class SegmentedFabric(BaseFabric):
     # -- engine interface --------------------------------------------------------
 
     def admits(self, txn: AxiTransaction) -> bool:
-        """Whether the master's ingress FIFO has room.  The fast tier
-        asks it of every held master every cycle, so it reads the FIFO's
-        fields rather than going through a property."""
+        """Whether the master's ingress FIFO has room.  Every ``submit``
+        asks it, so it reads the FIFO's fields rather than going
+        through a property."""
         fifo = self.ingress[txn.master]
         return len(fifo.items) < fifo.capacity
+
+    def hold(self, txn: AxiTransaction) -> bool:
+        """A refused master waits for room in its ingress FIFO: the
+        request-output grant that pops it releases the master
+        (``Fifo.waiter``)."""
+        if self.admits(txn):
+            return False
+        self.ingress[txn.master].waiter = self._release_on_pop[txn.master]
+        return True
+
+    def clear_holds(self) -> None:
+        super().clear_holds()
+        for fifo in self.ingress:
+            fifo.waiter = None
 
     def submit(self, txn: AxiTransaction, cycle: int) -> bool:
         if not self.admits(txn):
@@ -268,13 +294,21 @@ class SegmentedFabric(BaseFabric):
         for out in self._request_outputs:
             if out.wake <= cycle:
                 out.step(cycle)
+        # A refused landing head is offered again only once its PCH's
+        # queue has room: a scheduler pop or a flush fires the room
+        # signal, and :meth:`_on_room` unblocks the landing.
         mc_by_pch = self._mc_by_pch
+        blocked = self._landing_blocked
         for pch_index, fifo in enumerate(self.mc_in):
             items = fifo.items
-            if not items:
+            if not items or blocked[pch_index]:
                 continue
             mc = mc_by_pch[pch_index]
-            while items and mc.try_accept(items[0].txn, cycle):
+            while items:
+                if not mc.try_accept(items[0].txn, cycle):
+                    blocked[pch_index] = True
+                    mc.arm_room(pch_index)
+                    break
                 fifo.popleft()
         for mc in self.mcs:
             if mc.wake <= cycle:
@@ -282,12 +316,18 @@ class SegmentedFabric(BaseFabric):
         for out in self._response_outputs:
             if out.wake <= cycle:
                 out.step(cycle)
-        for m, fifo in enumerate(self.completion):
-            items = fifo.items
-            while items:
-                flit = fifo.popleft()
-                flit.txn.complete_cycle = cycle
-                self.completions.append((flit.txn, float(cycle)))
+        # Only its egress output fills a completion FIFO, so each is
+        # drained right after that output steps, in master order.
+        completions = self.completions
+        for out in self.egress_out:
+            if out.wake <= cycle:
+                out.step(cycle)
+                fifo = out.dest
+                items = fifo.items
+                while items:
+                    txn = fifo.popleft().txn
+                    txn.complete_cycle = cycle
+                    completions.append((txn, float(cycle)))
         self._pop_due_events(cycle)
 
     def quiescent(self) -> bool:
@@ -306,8 +346,7 @@ class SegmentedFabric(BaseFabric):
         nxt = super().next_event(cycle)
         if nxt <= cycle + 1:
             return nxt
-        if any(f.items for f in self.mc_in) or any(
-                f.items for f in self.completion):
+        if any(f.items for f in self.mc_in):
             return cycle + 1
         # A buffered flit pins the horizon to the next cycle, even for an
         # output asleep behind a blocker: its stalls count every cycle,
@@ -396,3 +435,6 @@ class SegmentedFabric(BaseFabric):
     def _on_write_accept(self, txn: AxiTransaction, time: float) -> None:
         lat = B_RESPONSE_LATENCY + txn.hops * self.platform.fabric.lateral_hop_latency
         self._schedule_completion(txn, time + lat)
+
+    def _on_room(self, pch: int) -> None:
+        self._landing_blocked[pch] = False

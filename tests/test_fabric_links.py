@@ -6,8 +6,11 @@ import weakref
 import pytest
 
 from repro.axi import AxiTransaction
+from repro.dram.controller import MemoryController, SchedulerConfig
+from repro.dram.pch import PseudoChannel
 from repro.errors import SimulationError
 from repro.fabric.links import ArbOutput, Fifo, Flit, SharedBus, REQUEST
+from repro.params import DEFAULT_PLATFORM
 from repro.types import Direction
 from tests.test_engine_fastpath import state_digest
 
@@ -325,14 +328,20 @@ class TestSleep:
     def test_parked_controller_woken_by_the_grant_that_pops(self):
         """A controller parked on a response FIFO is held weakly and
         woken for the cycle after the grant that frees a slot."""
-        class Controller:
-            wake = math.inf
-        mc = Controller()
+        timing = DEFAULT_PLATFORM.dram
+        mc = MemoryController(
+            0, [PseudoChannel(0, timing)], timing, SchedulerConfig(),
+            on_read_data=lambda txn, time: None,
+            on_write_accept=lambda txn, time: None)
+        assert mc.wake == math.inf
         src, dst = Fifo(4), Fifo(4)
         bus = _bus([src], dst)
         f = _flit([None], 1)
         f.route = (bus,)
         src.append(f)
-        src.waiter = weakref.ref(mc)
+        src.waiter = waiter = mc._wake_on_pop
         bus.step(3)
         assert (mc.wake, src.waiter) == (4, None)
+        ref = weakref.ref(mc)
+        del mc
+        assert ref() is None and waiter is not None

@@ -85,18 +85,19 @@ def _fault_engine(platform, fabric_key, plan_key, **cfg_kw):
     return Engine(fabric, sources, cfg, faults=FAULT_PLANS[plan_key])
 
 
-def _hotspot_degrade_engine(platform, fabric_key, rw):
+def _hotspot_degrade_engine(platform, fabric_key, rw, **cfg_kw):
     fabric = FABRICS[fabric_key](platform)
     sources = make_hotspot_sources(
         0, platform, burst_len=8, rw=rw, address_map=fabric.address_map)
     cfg = SimConfig(cycles=1200, warmup=300, outstanding=16,
-                    txn_timeout_cycles=4000, progress_timeout_cycles=4000)
+                    txn_timeout_cycles=4000, progress_timeout_cycles=4000,
+                    **cfg_kw)
     return Engine(fabric, sources, cfg,
                   faults=FAULT_PLANS["hotspot-degrade"])
 
 
-def _table4_engine(pattern, faults=None, **cfg_kw):
-    fabric = FABRICS["xlnx"](DEFAULT_PLATFORM)
+def _table4_engine(pattern, faults=None, fabric_key="xlnx", **cfg_kw):
+    fabric = FABRICS[fabric_key](DEFAULT_PLATFORM)
     sources = make_pattern_sources(
         pattern, DEFAULT_PLATFORM, burst_len=16, rw=TWO_TO_ONE,
         address_map=fabric.address_map, seed=5)
