@@ -6,10 +6,14 @@ where the model is calibrated (CCS/SCS anchors within a few percent),
 loose where the substrate differs (CCRA unidirectional — the known
 deviations are documented in EXPERIMENTS.md).
 
-The simulations run once per module (session fixtures) at a 8k-cycle
-horizon; the figures regenerated for EXPERIMENTS.md use longer runs.
-Shape gates that already hold at ``SHAPE_CYCLES`` run there.
+The simulations run once per module at a 8k-cycle horizon: the sweeps
+are module fixtures, and :func:`_measure` memoizes each point on its
+arguments, so tests that share a point share one run.  The figures
+regenerated for EXPERIMENTS.md use longer runs.  Shape gates that
+already hold at ``SHAPE_CYCLES`` run there.
 """
+
+import functools
 
 import pytest
 
@@ -34,8 +38,23 @@ KB = 1024
 
 def _measure(pattern, fabric, rw=TWO_TO_ONE, outstanding=32, burst_len=16,
              cycles=CYCLES):
+    """One point's report, simulated once per module (tests only read
+    it).  Every argument is passed on positionally, so a point is one
+    cache key however the caller spells it."""
+    return _simulate(pattern, fabric, rw, outstanding, burst_len, cycles)
+
+
+@functools.lru_cache(maxsize=None)
+def _simulate(pattern, fabric, rw, outstanding, burst_len, cycles):
     return repro.quick_measure(pattern, fabric, cycles=cycles, rw=rw,
                                outstanding=outstanding, burst_len=burst_len)
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _simulate_once_per_module():
+    """Drop the memoized reports when the module's tests are done."""
+    yield
+    _simulate.cache_clear()
 
 
 # --- Sec. IV-A: single-channel and ratio behaviour --------------------------
