@@ -76,9 +76,6 @@ class SchedulerConfig:
     queue_capacity: int = 48
     """Per-PCH scheduler queue depth (backpressure boundary)."""
 
-    request_fifo_capacity: int = 16
-    """Shared landing FIFO depth per controller."""
-
     horizon: float = 48.0
     """How many cycles ahead of the data bus the scheduler commits work, so
     activates overlap with ongoing transfers."""

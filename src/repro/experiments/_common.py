@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from typing import Optional, Sequence, Tuple
 
-from ..check.static import quick_check
 from ..params import HbmPlatform, DEFAULT_PLATFORM
 from ..sim import Engine, SimConfig, SimReport
 from ..sim.cache import DEFAULT_CACHE, MISS, SimCache, sweep_key  # noqa: F401
@@ -62,9 +61,6 @@ def measure(
     fab = fabric if fabric is not None else make_fabric(fabric_kind, platform)
     cfg = SimConfig(cycles=cycles, warmup=min(cycles // 4, 3_000),
                     outstanding=outstanding)
-    # Pre-flight: every registry simulation passes the O(1) static checks
-    # (credit wedges, timeout ladders) before any cycle is spent.
-    quick_check(fab, cfg)
     rep = Engine(fab, sources, cfg, faults=faults).run()
     if cache_key is not None:
         cache.put(full_key, rep)

@@ -9,8 +9,7 @@ Usage::
     repro-hbm advise --pattern CCRA --fabric xlnx --outstanding 4
     repro-hbm chaos --scenario pch-offline [--fabric xlnx] [--seed 0]
     repro-hbm profile fig2 [--trace-out trace.json] [--manifest-out m.json]
-    repro-hbm check --all          # statically validate every experiment
-    repro-hbm check fig6 --lint    # one experiment + determinism lint
+    repro-hbm check [--json]               # determinism lint over src/
     repro-hbm fuzz --budget 200 --seed 0   # model-based conformance fuzzing
     repro-hbm fuzz --replay-corpus         # re-run committed fuzz findings
     repro-hbm serve --port 8321            # HTTP estimate/advise/sweep service
@@ -152,43 +151,15 @@ def _cmd_profile(args) -> str:
 
 
 def _cmd_check(args) -> tuple:
-    """Static analyzer / lint front end; returns (text, exit code)."""
-    from ..check import lint as lint_mod
-    from ..check import static as static_mod
+    """Determinism lint front end; returns (text, exit code)."""
     from ..check.findings import render, render_json
-    chunks: List[str] = []
-    json_findings: List = []
-    ok = True
-    if args.keys or args.all:
-        keys = sorted(EXPERIMENTS) if args.all else args.keys
-        results = {k: static_mod.check_experiment(k, args.cycles)
-                   for k in keys}
-        text, exp_ok = static_mod.render_experiment_report(results)
-        chunks.append(text)
-        json_findings.extend(f for fs in results.values() for f in fs)
-        ok = ok and exp_ok
-    elif not args.lint:
-        # Ad-hoc config check: one fabric kind under the given knobs.
-        from ..sim import SimConfig
-        cfg = SimConfig(cycles=args.cycles or 12_000,
-                        outstanding=args.outstanding)
-        findings = static_mod.check_fabric_kind(
-            FabricKind(args.fabric), cfg, location=args.fabric)
-        chunks.append(render(findings) if findings
-                      else f"{args.fabric}: no findings")
-        json_findings.extend(findings)
-        ok = ok and not any(f.severity == "error" for f in findings)
-    if args.lint:
-        root = lint_mod.default_src_root()
-        findings = lint_mod.lint_tree(root)
-        if findings:
-            chunks.append(render(findings))
-            ok = False
-        json_findings.extend(findings)
-        chunks.append(f"determinism lint: {len(findings)} finding(s)")
+    from ..check.lint import default_src_root, lint_tree
+    findings = lint_tree(default_src_root())
+    rc = 1 if findings else 0
     if args.json:
-        chunks = [render_json(json_findings)]
-    return "\n".join(chunks), 0 if ok else 1
+        return render_json(findings), rc
+    summary = f"determinism lint: {len(findings)} finding(s)"
+    return (f"{render(findings)}\n{summary}" if findings else summary), rc
 
 
 def _fuzz_resume_hint(args, journal_path: str) -> str:
@@ -263,18 +234,6 @@ def _cmd_list() -> str:
 
 
 def _cmd_run(keys: List[str], cycles: Optional[int]) -> str:
-    # Pre-validate before spending simulation time: an error-severity
-    # static finding (broken address map, impossible fault plan) aborts
-    # the whole run-set up front.
-    from ..check import static as static_mod
-    from ..check.findings import render
-    from ..errors import ConfigError
-    errors = [f for key in keys
-              for f in static_mod.check_experiment(key, cycles)
-              if f.severity == "error"]
-    if errors:
-        raise ConfigError(
-            "static pre-validation failed:\n" + render(errors))
     chunks = []
     for key in keys:
         spec = get_experiment(key)
@@ -378,23 +337,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="write the per-run provenance manifest here")
     p_prof.add_argument("--out", type=str, default=None)
     p_check = sub.add_parser(
-        "check", help="static config/topology analyzer and determinism lint")
-    p_check.add_argument("keys", nargs="*", metavar="KEY",
-                         choices=[[]] + sorted(EXPERIMENTS),
-                         help="experiments to validate statically")
-    p_check.add_argument("--all", action="store_true",
-                         help="validate every registry experiment")
-    p_check.add_argument("--lint", action="store_true",
-                         help="run the determinism lint over the sources")
+        "check", help="determinism lint over the simulator sources")
     p_check.add_argument("--json", action="store_true",
                          help="emit findings as JSON instead of text")
-    p_check.add_argument("--cycles", type=int, default=None,
-                         help="horizon used for fault-plan liveness checks")
-    p_check.add_argument("--fabric", choices=[f.value for f in FabricKind],
-                         default="xlnx",
-                         help="fabric kind for an ad-hoc config check "
-                              "(when no experiment keys are given)")
-    p_check.add_argument("--outstanding", type=int, default=32)
     p_fuzz = sub.add_parser(
         "fuzz", help="model-based conformance fuzzing over the timing / "
                      "fault / fabric space (see repro.conformance)")

@@ -278,7 +278,8 @@ class BaseFabric:
         stage); fabrics without lateral structure stall their ingress.
         The base class has no interconnect of its own, so this is a
         no-op hook; each fabric overrides it with its own notion of a
-        stalled link.
+        stalled link.  The :class:`~repro.faults.FaultInjector` that
+        calls it has already range-checked ``cut``.
         """
 
     def _schedule_completion(self, txn: AxiTransaction, time: float) -> None:

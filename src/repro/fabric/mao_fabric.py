@@ -76,7 +76,6 @@ class MaoFabric(BaseFabric):
             window=sched.window,
             reorder_depth=self.config.reorder_depth,
             queue_capacity=sched.queue_capacity,
-            request_fifo_capacity=sched.request_fifo_capacity,
             horizon=sched.horizon,
             hit_bonus=sched.hit_bonus,
             dir_bonus=sched.dir_bonus,

@@ -17,7 +17,6 @@ from typing import List, Optional, Sequence
 from ..axi.transaction import AxiTransaction
 from ..core.address_map import AddressMap, ContiguousMap
 from ..dram.controller import SchedulerConfig
-from ..errors import ConfigError
 from ..params import HbmPlatform, DEFAULT_PLATFORM
 from .base import BaseFabric
 from .links import ArbOutput, Fifo, Flit, SharedBus, REQUEST, RESPONSE
@@ -414,14 +413,7 @@ class SegmentedFabric(BaseFabric):
         the old end, finds the bus held and stalls on.  A write that
         moved a meter earlier would have to lower the outputs' ``wake``.
         """
-        num_cuts = self.platform.num_switches - 1
-        if cut is None:
-            cuts = range(num_cuts)
-        else:
-            if not 0 <= cut < num_cuts:
-                raise ConfigError(
-                    f"lateral cut {cut} out of range 0..{num_cuts - 1}")
-            cuts = (cut,)
+        cuts = range(self.platform.num_switches - 1) if cut is None else (cut,)
         for c in cuts:
             for bus in self._shared_right[c] + self._shared_left[c]:
                 if bus.busy_until < until:

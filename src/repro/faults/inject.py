@@ -32,6 +32,7 @@ import math
 from typing import List
 
 from ..dram.pch import PchFaultState
+from ..errors import ConfigError
 from .degrade import build_remap
 from .ecc import SecdedModel
 from .plan import FaultEvent, FaultKind, FaultPlan
@@ -41,6 +42,19 @@ class FaultInjector:
     """Applies a fault plan's events to a fabric as simulation time passes."""
 
     def __init__(self, plan: FaultPlan, fabric) -> None:
+        # A plan is data and cannot see the platform, so its targets are
+        # range-checked here, where it binds to one.
+        platform = fabric.platform
+        num_cuts = platform.num_switches - 1
+        for ev in plan.events:
+            if ev.pch is not None and not 0 <= ev.pch < platform.num_pch:
+                raise ConfigError(
+                    f"{ev.kind.value} targets pch {ev.pch}, outside "
+                    f"0..{platform.num_pch - 1}")
+            if ev.cut is not None and not 0 <= ev.cut < num_cuts:
+                raise ConfigError(
+                    f"{ev.kind.value} targets lateral cut {ev.cut}, "
+                    f"outside 0..{num_cuts - 1}")
         self.plan = plan
         self.fabric = fabric
         self._events = plan.events  # time-sorted by FaultPlan

@@ -56,12 +56,6 @@ CASES = {
     # report — attribution shares included — pins as a golden file.
     "profile_fig2.txt": [
         "profile", "fig2", "--cycles", "2000"],
-    # The static analyzer is deterministic by construction (sorted
-    # findings, fixed LCG probes), so its reports pin cleanly too.
-    "check_all.txt": ["check", "--all"],
-    "check_fig6.txt": ["check", "fig6"],
-    "check_adhoc_mao_o64.txt": [
-        "check", "--fabric", "mao", "--outstanding", "64"],
 }
 
 

@@ -267,6 +267,34 @@ class TestFaultRuns:
         with pytest.raises(ConfigError):
             _engine("xlnx", faults=plan).run()
 
+    @pytest.mark.parametrize("fabric_key", sorted(FABRICS))
+    @pytest.mark.parametrize("event", [
+        FaultEvent(FaultKind.PCH_OFFLINE, at=100, pch=-1),
+        FaultEvent(FaultKind.PCH_OFFLINE, at=100, pch=8),
+        FaultEvent(FaultKind.PCH_SLOW, at=100, pch=-1, duration=50),
+        FaultEvent(FaultKind.DATA_CORRUPT, at=100, pch=8, duration=50,
+                   rate=0.1),
+        FaultEvent(FaultKind.LINK_STALL, at=100, cut=-1, duration=50),
+        FaultEvent(FaultKind.LINK_STALL, at=100, cut=1, duration=50),
+    ], ids=["offline-pch-1", "offline-pch8", "slow-pch-1", "corrupt-pch8",
+            "stall-cut-1", "stall-cut1"])
+    def test_out_of_range_target_rejected_at_build(self, fabric_key, event):
+        """A plan cannot see the platform, so binding it to a fabric
+        range-checks its targets before any cycle runs: a negative pch
+        would index from the end, and the MAO and ideal fabrics ignore
+        the cut.  SMALL has 8 PCHs and one lateral cut."""
+        with pytest.raises(ConfigError):
+            _engine(fabric_key, faults=FaultPlan([event], degrade=False))
+
+    @pytest.mark.parametrize("fabric_key", sorted(FABRICS))
+    def test_edge_targets_accepted(self, fabric_key):
+        plan = FaultPlan([
+            FaultEvent(FaultKind.PCH_SLOW, at=100, pch=0, duration=50),
+            FaultEvent(FaultKind.PCH_SLOW, at=100, pch=7, duration=50),
+            FaultEvent(FaultKind.LINK_STALL, at=100, cut=0, duration=50),
+        ])
+        assert _engine(fabric_key, faults=plan).run().completed > 0
+
     def test_fault_runs_deterministic(self):
         plan = FaultPlan([
             FaultEvent(FaultKind.PCH_OFFLINE, at=600, pch=4),
