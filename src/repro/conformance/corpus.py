@@ -93,8 +93,8 @@ def replay(corpus_dir: Optional[Union[str, Path]] = None) -> List[str]:
         case = load_entry(path)
         result = run_case(case)
         if result.skipped:
-            lines.append(f"{os.path.basename(path)}: statically rejected "
-                         f"({result.skipped}) — entry is stale")
+            lines.append(f"{os.path.basename(path)}: rejected by config "
+                         f"validation ({result.skipped}) — entry is stale")
         elif not result.ok:
             for f in result.failures:
                 lines.append(f"{os.path.basename(path)}: [{f.kind}] "

@@ -34,7 +34,8 @@ def test_corpus_entry_replays_clean(path):
     case = load_entry(path)  # raises ConfigError if the entry went stale
     result = run_case(case)
     assert not result.skipped, \
-        f"{path.name}: statically rejected ({result.skipped}) — stale entry"
+        f"{path.name}: rejected by config validation ({result.skipped}) " \
+        "— stale entry"
     assert result.ok, "\n".join(
         f"[{f.kind}] {f.detail}" for f in result.failures)
 
