@@ -142,10 +142,6 @@ class BandwidthEstimator:
             return p.num_pch if inputs.pattern.is_random else 1
         return p.num_pch
 
-    def masters_share_channels(self, inputs: EstimateInputs) -> bool:
-        """Whether several masters hit the same PCH."""
-        return not inputs.pattern.is_single_channel
-
     def lateral_limit(self, inputs: EstimateInputs) -> float:
         """Bisection bound of the segmented fabric for cross-channel
         random traffic, in bytes/s.

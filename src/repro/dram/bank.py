@@ -38,9 +38,6 @@ class BankSet:
         row = local_addr // self.timing.row_bytes
         return row % self.timing.num_banks
 
-    def row_of(self, local_addr: int) -> int:
-        return local_addr // self.timing.row_bytes
-
     def would_hit(self, local_addr: int) -> bool:
         """Whether an access to ``local_addr`` would hit the open row
         (used by the controller's FR-FCFS-style scheduler)."""

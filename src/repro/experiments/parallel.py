@@ -19,11 +19,12 @@ Crash safety, on top of the old contract:
   with ``BrokenProcessPool``: the pool is rebuilt, lost tasks are
   retried with backoff, and a task that keeps killing workers is
   quarantined and reported as a structured
-  :class:`~repro.runtime.TaskFailure`;
-* with a :class:`~repro.runtime.RunJournal` active (the CLI's
-  ``--journal``/``--resume`` flags install one process-wide), per-point
-  start/finish records make an interrupted sweep exactly resumable even
-  when the result cache is memory-only.
+  :class:`~repro.runtime.TaskFailure`.
+
+The result store (the ``cache``, spilled to ``REPRO_SIM_CACHE_DIR``) is
+the sweep's only resume record: re-running an interrupted sweep command
+against the same directory answers every checkpointed point from the
+store and simulates only the rest.
 
 Only module-level functions and picklable arguments may be passed (the
 standard multiprocessing contract); the experiment modules define their
@@ -32,18 +33,11 @@ per-point workers at module scope for exactly this reason.
 
 from __future__ import annotations
 
-import base64
-import dataclasses
-import hashlib
 import os
-import pickle
-import re
 import warnings
-from typing import Any, Callable, List, Optional, Sequence, Set, Tuple, TypeVar
+from typing import Callable, List, Optional, Sequence, TypeVar
 
-from ..runtime import (RunJournal, JournalState, SupervisedPool,
-                       SweepOutcome, TaskFailure, get_active_journal,
-                       get_active_shutdown)
+from ..runtime import SupervisedPool, SweepOutcome, TaskFailure
 from ..sim.cache import MISS
 
 T = TypeVar("T")
@@ -64,89 +58,6 @@ def default_workers() -> int:
     return max(1, min(8, os.cpu_count() or 1))
 
 
-#: Default ``object.__repr__`` embeds the instance's memory address —
-#: different every process, so it can never serve as a resume identity.
-_ADDR_REPR = re.compile(r" at 0x[0-9a-fA-F]+")
-
-#: Types already warned about for unstable reprs (once per type, not per
-#: sweep point — a 1000-point sweep of one bad type warns once).
-_UNSTABLE_WARNED: Set[type] = set()
-
-
-def _stable_repr(item: Any) -> str:
-    """A ``repr``-like string that is identical across processes.
-
-    ``repr`` is the natural normalization for sweep items (it is what the
-    cache keys use), but the default ``object.__repr__`` embeds a memory
-    address: an item without a custom ``__repr__`` got a different
-    journal id in every process, silently defeating ``--resume``
-    matching.  This walk keeps structured containers and dataclasses
-    field-by-field (so one unstable leaf cannot poison its siblings) and
-    masks the address of any leaf that still reprs unstably — with a
-    warning, because a masked id identifies the item only by type and
-    sweep position.
-    """
-    if dataclasses.is_dataclass(item) and not isinstance(item, type):
-        fields = ", ".join(
-            f"{f.name}={_stable_repr(getattr(item, f.name))}"
-            for f in dataclasses.fields(item))
-        return f"{type(item).__qualname__}({fields})"
-    if isinstance(item, tuple):
-        body = ", ".join(_stable_repr(x) for x in item)
-        return f"({body},)" if len(item) == 1 else f"({body})"
-    if isinstance(item, list):
-        return "[" + ", ".join(_stable_repr(x) for x in item) + "]"
-    if isinstance(item, (set, frozenset)):
-        body = ", ".join(sorted(_stable_repr(x) for x in item))
-        return f"{type(item).__name__}({{{body}}})"
-    if isinstance(item, dict):
-        pairs = sorted((_stable_repr(k), _stable_repr(v))
-                       for k, v in item.items())
-        return "{" + ", ".join(f"{k}: {v}" for k, v in pairs) + "}"
-    text = repr(item)
-    if _ADDR_REPR.search(text):
-        if type(item) not in _UNSTABLE_WARNED:
-            _UNSTABLE_WARNED.add(type(item))
-            warnings.warn(
-                f"sweep item of type {type(item).__qualname__} has an "
-                f"address-based repr ({text!r}); its journal id is "
-                f"derived from type and position only — give it a "
-                f"__repr__ (or pass key_fn) for a content-addressed "
-                f"resume identity",
-                RuntimeWarning, stacklevel=4)
-        text = _ADDR_REPR.sub(" at 0x0", text)
-    return text
-
-
-def _task_id(index: int, item: Any, key: Optional[tuple]) -> str:
-    """Stable journal id for one sweep point.
-
-    Content-addressed by the cache key when there is one (the strongest
-    identity: it already folds in the model version and every input), by
-    a process-stable structured digest of the item otherwise.  The index
-    prefix keeps ids unique even when a sweep legitimately repeats a
-    point.
-    """
-    basis = repr(key) if key is not None else _stable_repr(item)
-    digest = hashlib.sha1(basis.encode()).hexdigest()[:16]
-    return f"{index}:{digest}"
-
-
-def _encode_value(value) -> str:
-    return base64.b64encode(pickle.dumps(value)).decode("ascii")
-
-
-def _decode_value(payload) -> Tuple[bool, object]:
-    """Decode a journal payload; ``(False, None)`` on any mismatch so a
-    stale or hand-edited journal degrades to re-running the point."""
-    if not isinstance(payload, dict) or "value" not in payload:
-        return False, None
-    try:
-        return True, pickle.loads(base64.b64decode(payload["value"]))
-    except Exception:  # noqa: BLE001 — corrupt payload = re-run
-        return False, None
-
-
 def supervised_sweep(
     fn: Callable[[T], R],
     items: Sequence[T],
@@ -154,25 +65,20 @@ def supervised_sweep(
     *,
     cache=None,
     key_fn: Optional[Callable[[T], tuple]] = None,
-    journal: Optional[RunJournal] = None,
-    resume_state: Optional[JournalState] = None,
     task_timeout: Optional[float] = None,
-    should_stop: Optional[Callable[[], bool]] = None,
     max_crash_retries: int = 2,
     quarantine: bool = True,
-    drain_timeout: float = 30.0,
     force_pool: bool = False,
 ) -> SweepOutcome:
     """Map ``fn`` over ``items`` under full supervision.
 
     The most general entry point: returns the complete
     :class:`~repro.runtime.SweepOutcome` (ordered results, structured
-    failures, pending indices, retry/rebuild accounting) instead of a
-    bare list.  Cached points are satisfied in the parent, journaled
-    points recorded in ``resume_state`` are restored without
-    re-simulation, and everything else is dispatched to a
-    :class:`~repro.runtime.SupervisedPool` (or run inline for
-    ``workers <= 1``, where per-task timeouts cannot preempt).
+    failures, retry/rebuild accounting) instead of a bare list.  Cached
+    points are satisfied in the parent, and everything else is
+    dispatched to a :class:`~repro.runtime.SupervisedPool` (or run
+    inline for ``workers <= 1``, where per-task timeouts cannot
+    preempt).
 
     ``force_pool=True`` dispatches to the pool even for a single point —
     the sweep service uses this to give *individual* jobs crash
@@ -183,72 +89,37 @@ def supervised_sweep(
     items = list(items)
     keys = ([key_fn(item) for item in items]
             if cache is not None and key_fn is not None else None)
-    if journal is None and resume_state is None:
-        journal, resume_state = get_active_journal()
-    if should_stop is None:
-        should_stop = get_active_shutdown()
-    ids = [_task_id(i, items[i], keys[i] if keys else None)
-           for i in range(len(items))]
 
     results: List = [None] * len(items)
     outcome = SweepOutcome(total=len(items), results=results)
     todo: List[int] = []
     for i in range(len(items)):
-        # 1. the result cache (strongest: shared across runs and hosts).
         if keys is not None:
             hit = cache.lookup(keys[i])
             if hit is not MISS:
                 results[i] = hit
                 outcome.completed.append(i)
                 continue
-        # 2. the journal of the interrupted run being resumed.
-        if resume_state is not None and resume_state.is_finished(ids[i]):
-            ok, value = _decode_value(resume_state.payload(ids[i]))
-            if ok:
-                results[i] = value
-                outcome.completed.append(i)
-                if keys is not None:
-                    cache.put(keys[i], value)
-                continue
         todo.append(i)
-
-    def on_dispatch(i: int) -> None:
-        if journal is not None:
-            journal.start(ids[i])
 
     def on_result(i: int, value) -> None:
         # Streaming checkpoint: durable the moment it completes.
         if keys is not None:
             cache.put(keys[i], value)
-        if journal is not None:
-            journal.finish(ids[i], {"value": _encode_value(value)})
-
-    def on_failure(failure: TaskFailure) -> None:
-        if journal is not None:
-            journal.failure(ids[failure.index], {
-                "kind": failure.kind, "detail": failure.detail,
-                "attempts": failure.attempts})
 
     if not todo:
         return outcome
 
     if not force_pool and (n <= 1 or len(todo) <= 1):
-        # Inline path: same hooks and stop semantics, no subprocesses
+        # Inline path: the same streaming checkpoint, no subprocesses
         # (and therefore no preemptive timeouts or crash isolation).
-        for pos, i in enumerate(todo):
-            if should_stop is not None and should_stop():
-                outcome.interrupted = True
-                outcome.pending = todo[pos:]
-                break
-            on_dispatch(i)
+        for i in todo:
             try:
                 value = fn(items[i])
             except Exception as exc:  # noqa: BLE001 — structured failure
-                on_failure_record = TaskFailure(
+                outcome.failures.append(TaskFailure(
                     index=i, task=repr(items[i])[:120], kind="error",
-                    detail=f"{type(exc).__name__}: {exc}", attempts=1)
-                outcome.failures.append(on_failure_record)
-                on_failure(on_failure_record)
+                    detail=f"{type(exc).__name__}: {exc}", attempts=1))
                 continue
             results[i] = value
             outcome.completed.append(i)
@@ -262,9 +133,7 @@ def supervised_sweep(
         quarantine=quarantine,
     )
     sub = pool.map(fn, items, indices=todo, results=results,
-                   on_dispatch=on_dispatch, on_result=on_result,
-                   on_failure=on_failure, should_stop=should_stop,
-                   drain_timeout=drain_timeout)
+                   on_result=on_result)
     outcome.results = sub.results
     outcome.completed.extend(sub.completed)
     outcome.failures = sub.failures
@@ -272,7 +141,6 @@ def supervised_sweep(
     outcome.retries = sub.retries
     outcome.rebuilds = sub.rebuilds
     outcome.quarantined = sub.quarantined
-    outcome.interrupted = sub.interrupted
     return outcome
 
 
@@ -284,7 +152,6 @@ def parallel_sweep(
     cache=None,
     key_fn: Optional[Callable[[T], tuple]] = None,
     task_timeout: Optional[float] = None,
-    should_stop: Optional[Callable[[], bool]] = None,
     strict: bool = True,
 ) -> List[R]:
     """Map ``fn`` over ``items``, optionally across processes.
@@ -309,7 +176,7 @@ def parallel_sweep(
     """
     outcome = supervised_sweep(
         fn, items, workers, cache=cache, key_fn=key_fn,
-        task_timeout=task_timeout, should_stop=should_stop)
+        task_timeout=task_timeout)
     if strict:
         outcome.require_complete()
     return outcome.results  # type: ignore[return-value]

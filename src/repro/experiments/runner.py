@@ -269,15 +269,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                           help="attach the telemetry sampler to every "
                                "simulation (bit-identical results; see "
                                "repro.telemetry and the profile subcommand)")
-    sim_opts.add_argument("--journal", type=str, default=None,
-                          help="record sweep progress durably to this "
-                               "JSONL journal (each finished point is "
-                               "checkpointed the moment it completes)")
-    sim_opts.add_argument("--resume", type=str, default=None,
-                          metavar="JOURNAL",
-                          help="resume from a sweep journal: points it "
-                               "records as finished are restored, not "
-                               "re-simulated")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("list", help="list experiments")
     p_run = sub.add_parser("run", help="run selected experiments",
@@ -450,41 +441,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         for note in notes:
             print(note)
         return rc
-    sweep_resume = getattr(args, "resume", None)
-    sweep_journal_path = sweep_resume or getattr(args, "journal", None)
-    if sweep_journal_path is None:
-        return _dispatch(args)
-    # Sweep journaling: install the process-wide journal (and a graceful
-    # SIGINT/SIGTERM flag) so every nested parallel_sweep inherits
-    # point-level checkpointing and exact resume.
-    from ..errors import SweepError
-    from ..runtime import (GracefulShutdown, RunJournal, clear_active_journal,
-                           load_journal, set_active_journal,
-                           set_active_shutdown)
-    state = load_journal(sweep_resume) if sweep_resume else None
-    journal = RunJournal(sweep_journal_path, meta={"kind": "sweep"},
-                         resume=bool(sweep_resume))
-    try:
-        with GracefulShutdown() as stop:
-            set_active_journal(journal, state)
-            set_active_shutdown(stop)
-            return _dispatch(args)
-    except SweepError as exc:
-        outcome = exc.outcome
-        print(exc)
-        print(f"progress is journaled in {sweep_journal_path}; resume by "
-              f"re-running this command with --resume {sweep_journal_path}")
-        return 130 if outcome is not None and outcome.interrupted else 1
-    finally:
-        set_active_shutdown(None)
-        clear_active_journal()
-        journal.close()
-
-
-def _dispatch(args) -> int:
     if args.command == "serve":
-        if args.mem_entries == 0:
-            args.mem_entries = None
         return _cmd_serve(args)
     if args.command == "profile":
         text = _cmd_profile(args)

@@ -45,8 +45,7 @@ class PatternPoint:
 
     This is the service's unit of work: everything that shapes a
     simulated bandwidth number except the platform (which the store keys
-    separately).  Frozen and repr-stable, so it journals and cache-keys
-    cleanly.
+    separately).  Frozen and repr-stable, so it cache-keys cleanly.
     """
 
     fabric: FabricKind = FabricKind.XLNX

@@ -25,7 +25,7 @@ from ..core.estimator import BandwidthEstimator, EstimateInputs
 from ..params import HbmPlatform, DEFAULT_PLATFORM
 from ..types import FabricKind, Pattern
 from .. import make_fabric
-from ._common import DEFAULT_CYCLES, measure
+from ._common import DEFAULT_CYCLES, measure, sweep_key
 
 PAPER_REFERENCE = {
     "bw_a": (12.55, 403.75),
@@ -60,7 +60,11 @@ def measure_bandwidths(
             fab = make_fabric(kind, platform)
             sources = make_accelerator_sources(model, platform)
             rep = measure(kind, sources, cycles=cycles, platform=platform,
-                          fabric=fab)
+                          fabric=fab,
+                          cache_key=sweep_key("accel-sim", platform,
+                                              accel=name,
+                                              config=model.config,
+                                              fabric=kind))
             values[(name, kind)] = rep.total_gbps
     return MeasuredBandwidths(
         a_xlnx_gbps=values[("a", FabricKind.XLNX)],

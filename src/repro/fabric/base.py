@@ -226,11 +226,6 @@ class BaseFabric:
             return math.ceil(in_transit[0][0])
         return math.inf
 
-    def drain_completions(self) -> List[Tuple[AxiTransaction, float]]:
-        done = self.completions
-        self.completions = []
-        return done
-
     # -- hooks the subclasses implement ----------------------------------------
 
     def _on_read_data(self, txn: AxiTransaction, time: float) -> None:

@@ -27,6 +27,7 @@ import numpy as np
 from ..errors import ConfigError, FaultError
 from ..params import HbmPlatform, DEFAULT_PLATFORM
 from ..sim import Engine, SimConfig, TraceRecorder
+from ..sim.cache import DEFAULT_CACHE, sweep_key
 from ..sim.stats import SimReport
 from ..sim.trace import FIELDS
 from ..traffic import make_pattern_sources
@@ -288,6 +289,15 @@ def _suite_point(args: tuple) -> ChaosResult:
                         seed=seed, platform=platform)
 
 
+def _suite_point_key(args: tuple) -> tuple:
+    """Result-store key of one suite scenario (its plan included, so an
+    edited scenario never answers from a stale entry)."""
+    key, fabric, pattern, cycles, seed, platform = args
+    return sweep_key("chaos-scenario", platform, scenario=key,
+                     plan=SCENARIOS[key].build(cycles, seed), fabric=fabric,
+                     pattern=pattern, cycles=cycles, seed=seed)
+
+
 def run_suite(
     scenarios: Optional[Sequence[str]] = None,
     fabric: FabricKind = FabricKind.XLNX,
@@ -305,7 +315,9 @@ def run_suite(
     scenario that crashes its worker surfaces as a structured
     :class:`~repro.errors.SweepError` instead of a bare
     ``BrokenProcessPool``.  Results are deterministic and identical at
-    any worker count.
+    any worker count.  Each finished scenario goes to the result store,
+    so a re-run against the same ``REPRO_SIM_CACHE_DIR`` simulates only
+    the scenarios an interrupted run did not finish.
     """
     keys = sorted(SCENARIOS) if scenarios is None else list(scenarios)
     # Pre-validate inputs here so a typo'd scenario still raises a plain
@@ -319,7 +331,8 @@ def run_suite(
         raise ConfigError("chaos runs need at least 30 cycles")
     from ..experiments.parallel import parallel_sweep
     points = [(k, fabric, pattern, cycles, seed, platform) for k in keys]
-    return parallel_sweep(_suite_point, points, workers)
+    return parallel_sweep(_suite_point, points, workers,
+                          cache=DEFAULT_CACHE, key_fn=_suite_point_key)
 
 
 def format_result(r: ChaosResult) -> str:

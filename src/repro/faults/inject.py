@@ -55,6 +55,11 @@ class FaultInjector:
                 raise ConfigError(
                     f"{ev.kind.value} targets lateral cut {ev.cut}, "
                     f"outside 0..{num_cuts - 1}")
+        # Degradation remaps a dead channel onto a survivor, so a plan
+        # that takes every (range-checked) channel offline cannot run.
+        if plan.degrade and len(set(plan.offline_pchs)) == platform.num_pch:
+            raise ConfigError("cannot degrade: the plan takes every "
+                              "pseudo-channel offline")
         self.plan = plan
         self.fabric = fabric
         self._events = plan.events  # time-sorted by FaultPlan

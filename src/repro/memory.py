@@ -14,7 +14,7 @@ Memory is allocated lazily per PCH in 1 MiB slabs so instantiating the
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -117,25 +117,6 @@ class HbmMemory:
         if gran is None:
             return self.address_map.capacity - address
         return gran - address % gran
-
-    def flip_bits(self, address: int, bit_positions: Iterable[int]) -> int:
-        """Flip bits at the given offsets (in bits) relative to ``address``.
-
-        The data-side counterpart of the timing model's ``DATA_CORRUPT``
-        fault: a single flip inside a 32 B beat is what SECDED corrects
-        transparently, two flips are what a poisoned read carries.  Used
-        by the fault tests to demonstrate corruption against stored
-        contents.  Returns the number of bits flipped.
-        """
-        count = 0
-        for pos in bit_positions:
-            if pos < 0:
-                raise AddressError(f"negative bit position {pos}")
-            byte = self.read(address + (pos >> 3), 1)
-            byte[0] ^= 1 << (pos & 7)
-            self.write(address + (pos >> 3), byte)
-            count += 1
-        return count
 
     # -- convenience ------------------------------------------------------------------
 

@@ -7,25 +7,21 @@ package makes the *harness that runs it* fault-tolerant:
   with per-task timeouts, ``BrokenProcessPool`` recovery, retry with
   capped exponential backoff, poison-task quarantine, and structured
   :class:`TaskFailure`/:class:`SweepOutcome` reporting,
-* :mod:`repro.runtime.journal` — :class:`RunJournal`, a durable
-  append-only JSONL progress record enabling exact resume of
-  interrupted sweeps and fuzz campaigns,
+* :mod:`repro.runtime.journal` — :class:`RunJournal`, the durable
+  append-only JSONL progress record that makes an interrupted
+  ``repro-hbm fuzz`` campaign exactly resumable,
 * :mod:`repro.runtime.signals` — :class:`GracefulShutdown`, two-stage
-  SIGINT/SIGTERM handling for clean checkpoint-and-exit.
+  SIGINT/SIGTERM handling for the fuzz campaign's clean
+  checkpoint-and-exit.
 
 The experiment sweeps (:func:`repro.experiments.parallel
 .parallel_sweep`), the chaos suite, and ``repro-hbm fuzz`` all run on
-this substrate.
-
-An *active journal* can be installed process-wide (the CLI does this
-for ``--journal``/``--resume`` on sweep commands) so deeply nested
-sweep helpers inherit journaling without threading a parameter through
-every experiment module.
+this substrate.  A sweep resumes from its result store
+(``REPRO_SIM_CACHE_DIR``), not from a journal: every finished point is
+spilled there the moment it completes.
 """
 
 from __future__ import annotations
-
-from typing import Optional, Tuple
 
 from .journal import JOURNAL_VERSION, JournalState, RunJournal, load_journal
 from .pool import ISOLATED_ENV, SupervisedPool, SweepOutcome, TaskFailure
@@ -35,47 +31,4 @@ __all__ = [
     "JOURNAL_VERSION", "JournalState", "RunJournal", "load_journal",
     "ISOLATED_ENV", "SupervisedPool", "SweepOutcome", "TaskFailure",
     "GracefulShutdown",
-    "set_active_journal", "get_active_journal", "clear_active_journal",
-    "set_active_shutdown", "get_active_shutdown",
 ]
-
-#: (journal, prior state) installed by the CLI for sweep commands.
-_ACTIVE_JOURNAL: Optional[RunJournal] = None
-_ACTIVE_STATE: Optional[JournalState] = None
-
-
-def set_active_journal(journal: Optional[RunJournal],
-                       state: Optional[JournalState] = None) -> None:
-    """Install a process-wide journal that journal-aware helpers (the
-    sweep layer) pick up when no explicit journal is passed."""
-    global _ACTIVE_JOURNAL, _ACTIVE_STATE
-    _ACTIVE_JOURNAL = journal
-    _ACTIVE_STATE = state
-
-
-def get_active_journal() -> Tuple[Optional[RunJournal],
-                                  Optional[JournalState]]:
-    """The installed ``(journal, prior state)`` pair, or ``(None, None)``."""
-    return _ACTIVE_JOURNAL, _ACTIVE_STATE
-
-
-def clear_active_journal() -> None:
-    """Uninstall the process-wide journal (idempotent)."""
-    set_active_journal(None, None)
-
-
-#: Process-wide shutdown flag (a GracefulShutdown installed by the CLI)
-#: that journal-aware sweep helpers poll when no explicit ``should_stop``
-#: predicate is passed.
-_ACTIVE_SHUTDOWN: Optional[GracefulShutdown] = None
-
-
-def set_active_shutdown(shutdown: Optional[GracefulShutdown]) -> None:
-    """Install (or with ``None`` uninstall) the process-wide stop flag."""
-    global _ACTIVE_SHUTDOWN
-    _ACTIVE_SHUTDOWN = shutdown
-
-
-def get_active_shutdown() -> Optional[GracefulShutdown]:
-    """The installed stop flag, or ``None`` when not under the CLI."""
-    return _ACTIVE_SHUTDOWN

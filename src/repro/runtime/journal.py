@@ -1,13 +1,13 @@
 """Durable, append-only run journal (crash-safe progress record).
 
 A :class:`RunJournal` is a JSONL file with one self-contained record per
-line.  Long-running harnesses (the supervised sweeps of
-:mod:`repro.runtime.pool`, the conformance fuzz campaigns of
-:mod:`repro.conformance.driver`) append a record as each unit of work
-starts and finishes; after a crash, an OOM kill, or an operator SIGINT,
-:func:`load_journal` recovers exactly which tasks completed (and their
-recorded payloads) so a resumed run re-executes only the unfinished
-remainder.
+line.  The conformance fuzz campaign (:mod:`repro.conformance.driver`,
+``repro-hbm fuzz``) appends a record as each case starts and finishes;
+after a crash, an OOM kill, or an operator SIGINT, :func:`load_journal`
+recovers exactly which cases completed (and their recorded payloads) so
+a resumed campaign re-executes only the unfinished remainder.  Sweeps
+keep no journal: their resume record is the result store
+(:mod:`repro.sim.cache`), which holds every finished point.
 
 Durability contract
 -------------------
@@ -36,10 +36,9 @@ Record kinds (the ``type`` field):
 ``finish``    task completed (``task`` id, optional ``payload`` object)
 ``failure``   task failed permanently (``task`` id, ``failure`` object)
 
-Task ids are caller-chosen strings; the harnesses use content-addressed
-digests (:func:`~repro.sim.cache.sweep_key` digests for sweep points,
-:func:`~repro.conformance.driver.case_digest` for fuzz cases) so an id
-names the *work*, not its position in some mutable list.
+Task ids are caller-chosen strings; the fuzz driver uses the
+content-addressed :func:`~repro.conformance.driver.case_digest` of each
+case, so an id names the *work*, not its position in some mutable list.
 """
 
 from __future__ import annotations

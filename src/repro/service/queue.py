@@ -142,8 +142,7 @@ class JobQueue:
             workers=2 if self.isolate else 1,
             force_pool=self.isolate,
             cache=self.store.cache, key_fn=simulate_point_key,
-            task_timeout=self.task_timeout if self.isolate else None,
-            journal=None, resume_state=None)
+            task_timeout=self.task_timeout if self.isolate else None)
         if outcome.failures:
             f = outcome.failures[0]
             raise JobFailure(self.store.digest_for(point), f.kind, f.detail)

@@ -8,8 +8,10 @@ which is also the basename of the entry's on-disk pickle.  Two processes
 pointed at the same directory (``REPRO_SIM_CACHE_DIR`` or an explicit
 path) therefore share results through nothing but the cache's atomic
 tmp-then-rename spill: an experiment sweep warms the service, a service
-simulation warms the next batch run, and the digest is the dedup/journal
-identity throughout.
+simulation warms the next batch run, and the digest is the dedup
+identity throughout.  The same directory is what an interrupted sweep
+command resumes from: re-run it against the directory, and every point
+an earlier run or the service wrote there is a hit, not a simulation.
 """
 
 from __future__ import annotations

@@ -148,23 +148,6 @@ class PruneResult:
         return text
 
 
-def _memory_bound_default() -> Optional[int]:
-    """In-memory entry bound from ``REPRO_SIM_CACHE_MEM`` (unset, empty,
-    or ``<= 0`` means unbounded — the right default for batch sweeps)."""
-    env = os.environ.get("REPRO_SIM_CACHE_MEM")
-    if not env:
-        return None
-    try:
-        bound = int(env)
-    except ValueError:
-        warnings.warn(
-            f"ignoring invalid REPRO_SIM_CACHE_MEM={env!r} (not an "
-            f"integer); the in-memory table stays unbounded",
-            RuntimeWarning, stacklevel=2)
-        return None
-    return bound if bound > 0 else None
-
-
 class SimCache:
     """Two-level (memory + optional disk) memo table for sweep results.
 
@@ -178,9 +161,9 @@ class SimCache:
 
     ``max_memory_entries`` bounds the in-memory table with LRU eviction;
     evicted entries stay readable from disk.  Batch sweeps default to
-    unbounded (``None``); long-lived servers set a bound (or export
-    ``REPRO_SIM_CACHE_MEM``) so promoting every disk hit into memory
-    cannot grow without limit.
+    unbounded (``None``, or any bound below 1); long-lived servers set a
+    bound so promoting every disk hit into memory cannot grow without
+    limit.
     """
 
     def __init__(self, directory: Optional[str] = None,
@@ -188,10 +171,9 @@ class SimCache:
         self._directory = directory
         self._memory: Dict[Tuple, Any] = {}
         self._lock = threading.RLock()
-        self._max_memory = (max_memory_entries if max_memory_entries
-                            is not None else _memory_bound_default())
-        if self._max_memory is not None and self._max_memory < 1:
-            self._max_memory = None
+        self._max_memory = (max_memory_entries
+                            if max_memory_entries is not None
+                            and max_memory_entries >= 1 else None)
         self.hits = 0
         self.misses = 0
 
@@ -279,22 +261,10 @@ class SimCache:
     def lookup(self, key: Tuple) -> Any:
         """Cached value for ``key``, or the :data:`MISS` sentinel.
 
-        Prefer this over :meth:`get` for miss detection: ``None`` is a
-        perfectly valid cached value (a sweep point that produced no
-        result), and ``get(...) is None`` silently re-simulates it on
-        every call.
+        Test ``lookup(key) is MISS``: ``None`` is a perfectly valid
+        cached value (a sweep point that produced no result).
         """
         return self._lookup(key, count=True)
-
-    def get(self, key: Tuple) -> Optional[Any]:
-        """Cached value for ``key``, or ``None`` on a miss.
-
-        Legacy accessor: a cached ``None`` is indistinguishable from a
-        miss here.  Use :meth:`lookup` (against :data:`MISS`) or
-        :meth:`__contains__` when that matters.
-        """
-        value = self.lookup(key)
-        return None if value is MISS else value
 
     def __contains__(self, key: Tuple) -> bool:
         """Whether ``key`` would hit, without counting a hit or a miss."""

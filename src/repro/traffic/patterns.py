@@ -74,11 +74,6 @@ class PatternSource:
     def _next_address(self, direction: Direction) -> Optional[int]:
         raise NotImplementedError
 
-    # -- helpers ------------------------------------------------------------------
-
-    def _align(self, addr: int) -> int:
-        return addr - addr % self.burst_bytes
-
 
 class ScsSource(PatternSource):
     """Single-channel strided: stream within the master's own PCH."""

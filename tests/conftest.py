@@ -31,6 +31,22 @@ def small_platform() -> HbmPlatform:
     return HbmPlatform(num_pch=8, pch_capacity=64 * 1024 * 1024)
 
 
+@pytest.fixture
+def engine_runs(monkeypatch) -> list:
+    """A list that gains one entry per ``Engine.run`` call in the test
+    (in this process: inline sweeps, not pool workers)."""
+    from repro.sim import Engine
+    runs: list = []
+    real_run = Engine.run
+
+    def counted_run(self, *args, **kwargs):
+        runs.append(None)
+        return real_run(self, *args, **kwargs)
+
+    monkeypatch.setattr(Engine, "run", counted_run)
+    return runs
+
+
 def run_pattern(fabric, sources, cycles=4000, warmup=1000, outstanding=32):
     """Convenience one-shot simulation used across test modules."""
     from repro.sim import Engine, SimConfig

@@ -146,6 +146,21 @@ class TestTable5:
         text = table5_accelerators.format_table((rows, bw))
         assert "Table V" in text
 
+    def test_second_measurement_is_a_store_hit(self, tmp_path, monkeypatch,
+                                               engine_runs):
+        """fig7 and table5 both measure the four accelerator points, so
+        ``repro-hbm all`` asks for them twice; the second ask must come
+        from the result store, not from four more simulations."""
+        from repro.experiments import _common
+        from repro.sim.cache import SimCache
+
+        monkeypatch.setattr(_common, "DEFAULT_CACHE",
+                            SimCache(directory=str(tmp_path)))
+        first = table5_accelerators.measure_bandwidths(cycles=1000)
+        assert len(engine_runs) == 4
+        assert table5_accelerators.measure_bandwidths(cycles=1000) == first
+        assert len(engine_runs) == 4
+
     def test_estimates_available(self):
         bw = table5_accelerators.estimate_bandwidths()
         assert bw.a_xlnx_gbps == pytest.approx(13.0, rel=0.05)

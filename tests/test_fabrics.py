@@ -41,7 +41,8 @@ def _drive(fabric, txns, cycles=2000):
         while pending and fabric.submit(pending[0], c):
             pending.pop(0)
         fabric.step(c)
-        done.extend(t for t, _ in fabric.drain_completions())
+        done.extend(t for t, _ in fabric.completions)
+        fabric.completions = []
         if len(done) == len(txns) and not pending:
             break
     return done

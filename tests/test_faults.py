@@ -287,6 +287,21 @@ class TestFaultRuns:
             _engine(fabric_key, faults=FaultPlan([event], degrade=False))
 
     @pytest.mark.parametrize("fabric_key", sorted(FABRICS))
+    @pytest.mark.parametrize("first", [100, 5000], ids=["in-run", "late"])
+    def test_degrading_every_pch_offline_rejected_at_build(self, fabric_key,
+                                                           first):
+        """Degradation needs a survivor to remap onto, so a degrading
+        plan that takes all 8 PCHs offline is refused when it binds,
+        whatever its cycles; it used to raise only mid-run, when its
+        last offline fired.  The same plan without degradation is legal:
+        the watchdogs diagnose the loss."""
+        events = [FaultEvent(FaultKind.PCH_OFFLINE, at=first + 10 * p, pch=p)
+                  for p in range(SMALL.num_pch)]
+        with pytest.raises(ConfigError, match="every pseudo-channel"):
+            _engine(fabric_key, faults=FaultPlan(events, degrade=True))
+        _engine(fabric_key, faults=FaultPlan(events, degrade=False))
+
+    @pytest.mark.parametrize("fabric_key", sorted(FABRICS))
     def test_edge_targets_accepted(self, fabric_key):
         plan = FaultPlan([
             FaultEvent(FaultKind.PCH_SLOW, at=100, pch=0, duration=50),

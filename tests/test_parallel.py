@@ -13,7 +13,6 @@ import pytest
 from repro.errors import SweepError
 from repro.experiments.parallel import (default_workers, parallel_sweep,
                                         supervised_sweep)
-from repro.runtime import RunJournal, load_journal
 
 
 def _square(x):
@@ -106,133 +105,33 @@ class TestCrashSafety:
         assert outcome.results[1] == 4
 
 
-class TestJournaledSweep:
-    def test_journal_records_each_point_and_resume_skips_them(self, tmp_path):
-        path = str(tmp_path / "sweep.jsonl")
-        with RunJournal(path, meta={"kind": "sweep"}) as journal:
-            outcome = supervised_sweep(_square, [1, 2, 3], workers=1,
-                                       journal=journal)
-        assert outcome.ok
-        state = load_journal(path)
-        assert len(state.finished) == 3
+class TestStoreResume:
+    """The result store is a sweep's resume record: re-running a sweep
+    command against the same ``REPRO_SIM_CACHE_DIR`` answers every
+    point an earlier run finished from the store."""
 
-        calls = []
+    @pytest.mark.parametrize("argv", [
+        ["run", "fig2", "--cycles", "1500"],
+        ["run", "chaos", "--cycles", "600"],
+    ], ids=["fig2", "chaos"])
+    def test_rerun_against_the_store_simulates_nothing(
+            self, argv, tmp_path, monkeypatch, capsys, engine_runs):
+        from repro.experiments.runner import main
+        from repro.sim.cache import DEFAULT_CACHE
 
-        def tracked(x):
-            calls.append(x)
-            return x * x
-
-        with RunJournal(path, resume=True) as journal:
-            resumed = supervised_sweep(tracked, [1, 2, 3, 4], workers=1,
-                                       journal=journal, resume_state=state)
-        assert resumed.results == [1, 4, 9, 16]
-        assert calls == [4]  # journaled points restored, not re-run
-
-    def test_journal_resume_survives_memory_only_cache(self, tmp_path):
-        """Journal payloads embed the values, so resume works even when
-        the result cache died with the process (memory-only cache)."""
-        from repro.params import DEFAULT_PLATFORM
-        from repro.sim.cache import SimCache, sweep_key
-
-        path = str(tmp_path / "sweep.jsonl")
-        with RunJournal(path, meta={}) as journal:
-            supervised_sweep(_square, [5, 6], workers=1, journal=journal,
-                             cache=SimCache(),
-                             key_fn=lambda x: sweep_key(
-                                 "unit-j", DEFAULT_PLATFORM, x=x))
-        fresh_cache = SimCache()  # the old memory cache is gone
-        state = load_journal(path)
-        outcome = supervised_sweep(_square, [5, 6], workers=1,
-                                   resume_state=state, cache=fresh_cache,
-                                   key_fn=lambda x: sweep_key(
-                                       "unit-j", DEFAULT_PLATFORM, x=x))
-        assert outcome.results == [25, 36]
-        assert len(outcome.completed) == 2
-
-    def test_resume_matches_items_with_address_based_repr(self, tmp_path):
-        """Regression: ``_task_id`` fell back to ``repr(item)``; an item
-        whose repr embeds its memory address (``<... object at 0x...>``)
-        got a different id in every process, so resume silently re-ran
-        every journaled point instead of restoring it."""
-        import repro.experiments.parallel as parallel_mod
-
-        class Opaque:  # default object repr: "<...Opaque object at 0x..>"
-            def __init__(self, n):
-                self.n = n
-
-        path = str(tmp_path / "sweep.jsonl")
-        calls = []
-
-        def fn(item):
-            calls.append(item.n)
-            return item.n * 10
-
-        parallel_mod._UNSTABLE_WARNED.clear()
-        with pytest.warns(RuntimeWarning, match="address-based repr"):
-            with RunJournal(path, meta={}) as journal:
-                supervised_sweep(fn, [Opaque(1), Opaque(2)], workers=1,
-                                 journal=journal)
-        assert calls == [1, 2]
-
-        # "Another process": brand-new instances at new addresses.
-        state = load_journal(path)
-        with RunJournal(path, resume=True) as journal:
-            outcome = supervised_sweep(fn, [Opaque(1), Opaque(2)],
-                                       workers=1, journal=journal,
-                                       resume_state=state)
-        assert outcome.results == [10, 20]
-        assert calls == [1, 2]  # restored from the journal, not re-run
-
-    def test_unstable_repr_warns_once_per_type(self, tmp_path):
-        import repro.experiments.parallel as parallel_mod
-
-        class Opaque:
-            pass
-
-        parallel_mod._UNSTABLE_WARNED.clear()
-        with pytest.warns(RuntimeWarning) as record:
-            with RunJournal(str(tmp_path / "j.jsonl"), meta={}) as journal:
-                supervised_sweep(lambda _x: 0,
-                                 [Opaque() for _ in range(10)],
-                                 workers=1, journal=journal)
-        unstable = [w for w in record
-                    if "address-based repr" in str(w.message)]
-        assert len(unstable) == 1
-
-    def test_stable_repr_walks_structured_items(self):
-        """Dataclasses / containers keep field-level identity even when a
-        leaf is unstable, and stable leaves are untouched."""
-        from dataclasses import dataclass
-
-        import repro.experiments.parallel as parallel_mod
-
-        @dataclass(frozen=True)
-        class Point:
-            a: int
-            b: str
-
-        assert parallel_mod._stable_repr(Point(1, "x")).endswith(
-            "Point(a=1, b='x')")
-        assert parallel_mod._stable_repr((1, [2, 3], {"k": 4})) == \
-            "(1, [2, 3], {'k': 4})"
-        # Identical ids across "processes" for the structured case.
-        i1 = parallel_mod._task_id(0, Point(1, "x"), None)
-        i2 = parallel_mod._task_id(0, Point(1, "x"), None)
-        assert i1 == i2
-
-    def test_interrupted_inline_sweep_reports_pending(self):
-        seen = []
-
-        def fn(x):
-            seen.append(x)
-            return x
-
-        outcome = supervised_sweep(fn, list(range(6)), workers=1,
-                                   should_stop=lambda: len(seen) >= 2)
-        assert outcome.interrupted
-        assert outcome.pending == [2, 3, 4, 5]
-        with pytest.raises(SweepError, match="interrupted"):
-            outcome.require_complete()
+        monkeypatch.setenv("REPRO_SIM_CACHE_DIR", str(tmp_path))
+        monkeypatch.delenv("REPRO_SIM_CACHE", raising=False)
+        tables, counts = [], []
+        for _ in range(2):
+            DEFAULT_CACHE.clear()  # only the directory carries over
+            engine_runs.clear()
+            assert main(list(argv)) == 0
+            # Drop the "=== key: title (elapsed) ===" timing header.
+            tables.append(capsys.readouterr().out.splitlines()[1:])
+            counts.append(len(engine_runs))
+        assert counts[0] > 0
+        assert counts[1] == 0
+        assert tables[0] == tables[1]
 
 
 _CHILD_SWEEP = textwrap.dedent("""

@@ -38,9 +38,9 @@ def test_sweep_key_depends_on_platform():
 def test_memory_cache_hit_and_miss():
     c = SimCache()
     key = sweep_key("x", DEFAULT_PLATFORM, a=1)
-    assert c.get(key) is None
+    assert c.lookup(key) is MISS
     c.put(key, "value")
-    assert c.get(key) == "value"
+    assert c.lookup(key) == "value"
     assert c.hits == 1 and c.misses == 1
 
 
@@ -50,9 +50,9 @@ def test_disk_cache_round_trip(tmp_path):
     writer.put(key, {"gbps": 416.7})
     # A fresh cache instance (fresh process, conceptually) reads it back.
     reader = SimCache(directory=str(tmp_path))
-    assert reader.get(key) == {"gbps": 416.7}
+    assert reader.lookup(key) == {"gbps": 416.7}
     # A different key misses even with files present.
-    assert reader.get(sweep_key("x", DEFAULT_PLATFORM, a=2)) is None
+    assert reader.lookup(sweep_key("x", DEFAULT_PLATFORM, a=2)) is MISS
 
 
 def test_disk_cache_ignores_corrupt_files(tmp_path):
@@ -63,11 +63,11 @@ def test_disk_cache_ignores_corrupt_files(tmp_path):
         f.write_bytes(b"not a pickle")
     fresh = SimCache(directory=str(tmp_path))
     with pytest.warns(RuntimeWarning, match="discarding unreadable"):
-        assert fresh.get(key) is None  # degraded to a miss, no exception
+        assert fresh.lookup(key) is MISS  # degraded to a miss, no exception
     # The bad file was deleted so it never costs another parse ...
     assert not list(tmp_path.glob("*.pkl"))
     # ... and the next lookup is an ordinary silent miss.
-    assert fresh.get(key) is None
+    assert fresh.lookup(key) is MISS
 
 
 def test_disk_cache_ignores_truncated_files(tmp_path):
@@ -78,7 +78,7 @@ def test_disk_cache_ignores_truncated_files(tmp_path):
         f.write_bytes(f.read_bytes()[:10])  # cut mid-pickle
     fresh = SimCache(directory=str(tmp_path))
     with pytest.warns(RuntimeWarning, match="discarding unreadable"):
-        assert fresh.get(key) is None
+        assert fresh.lookup(key) is MISS
     assert not list(tmp_path.glob("*.pkl"))
 
 
@@ -97,7 +97,7 @@ def test_disk_cache_version_mismatch_is_silent_miss(tmp_path):
     path = tmp_path / (cache_mod.hashlib.sha1(
         repr(key).encode()).hexdigest() + ".pkl")
     path.write_bytes(pickle.dumps((old_key, 99)))
-    assert c.get(key) is None
+    assert c.lookup(key) is MISS
     assert path.exists()
 
 
@@ -107,7 +107,7 @@ def test_cache_disabled_by_env(monkeypatch):
     c = SimCache()
     key = sweep_key("x", DEFAULT_PLATFORM, a=1)
     c.put(key, "value")
-    assert c.get(key) is None
+    assert c.lookup(key) is MISS
     monkeypatch.delenv("REPRO_SIM_CACHE")
     assert cache_enabled()
 
@@ -254,7 +254,7 @@ class TestSpillFailureWarning:
         key = sweep_key("x", DEFAULT_PLATFORM, a=1)
         with pytest.warns(RuntimeWarning, match="denied"):
             cache.put(key, 1)
-        assert cache.get(key) == 1  # the memory entry still serves
+        assert cache.lookup(key) == 1  # the memory entry still serves
 
     def test_spill_failure_warns_once_per_directory(self, tmp_path,
                                                     monkeypatch, recwarn):
@@ -468,18 +468,25 @@ class TestMemoryBound:
             cache.put(sweep_key("unbounded", DEFAULT_PLATFORM, a=i), i)
         assert cache.memory_entries() == 500
 
-    def test_env_bound(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_CACHE_MEM", "4")
-        cache = SimCache()
-        for i in range(10):
-            cache.put(sweep_key("env", DEFAULT_PLATFORM, a=i), i)
-        assert cache.memory_entries() == 4
+    def test_serve_zero_bound_is_unbounded(self, tmp_path, monkeypatch):
+        """``serve --mem-entries 0`` promises an unbounded table.  The
+        runner once turned 0 into ``None``, which fell back to a
+        ``REPRO_SIM_CACHE_MEM`` variable, so a stray one in the
+        environment silently capped the server's table."""
+        import repro.service.http as http_mod
+        from repro.experiments.runner import main
 
-    def test_env_bound_invalid_warns(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_CACHE_MEM", "lots")
-        with pytest.warns(RuntimeWarning, match="REPRO_SIM_CACHE_MEM"):
-            cache = SimCache()
+        served = []
+        monkeypatch.setattr(http_mod, "run_server",
+                            lambda *a, store, **kw: served.append(store))
+        monkeypatch.setenv("REPRO_SIM_CACHE_MEM", "4")
+        assert main(["serve", "--mem-entries", "0", "--no-surface",
+                     "--store-dir", str(tmp_path)]) == 0
+        cache = served[0].cache
         assert cache.max_memory_entries is None
+        for i in range(10):
+            cache.put(sweep_key("zero", DEFAULT_PLATFORM, a=i), i)
+        assert cache.memory_entries() == 10
 
 
 def test_parallel_sweep_prefilters_cached_points():
