@@ -13,6 +13,17 @@ Use :mod:`repro.experiments.registry` to enumerate them and
 script) to run them from the command line.
 """
 
-from .registry import EXPERIMENTS, ExperimentSpec, get_experiment
+from importlib import import_module
+from typing import Any
 
 __all__ = ["EXPERIMENTS", "ExperimentSpec", "get_experiment"]
+
+
+def __getattr__(name: str) -> Any:
+    # The registry imports every experiment module; load it on first use
+    # (PEP 562), so importing one experiment loads only what it needs.
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(".registry", __name__), name)
+    globals()[name] = value
+    return value

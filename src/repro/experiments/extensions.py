@@ -27,19 +27,22 @@ from typing import List
 from ..core.mao import MaoConfig
 from ..fabric import MaoFabric, SegmentedFabric
 from ..params import HbmPlatform, DEFAULT_PLATFORM
-from ..sim import Engine, SimConfig
 from ..traffic import make_pattern_sources, make_rotation_sources
-from ..types import Pattern, RWRatio, TWO_TO_ONE
-from ._common import DEFAULT_CYCLES
+from ..types import FabricKind, Pattern, RWRatio, TWO_TO_ONE
+from ._common import DEFAULT_CYCLES, measure, sweep_key
 
 PAPER_REFERENCE = {
     "note": "extensions beyond the paper; no reference values",
 }
 
 
-def _run(fabric, sources, cycles):
-    cfg = SimConfig(cycles=cycles, warmup=min(cycles // 4, 3000))
-    return Engine(fabric, sources, cfg).run()
+def _run(kind, fabric, sources, cycles, study: str, **knob):
+    """Simulate one study point through the result store, keyed by the
+    study and the value of the knob it varies."""
+    return measure(kind, sources, cycles=cycles, platform=fabric.platform,
+                   fabric=fabric,
+                   cache_key=sweep_key("extensions", fabric.platform,
+                                       study=study, **knob))
 
 
 # --- lateral bus sweep ---------------------------------------------------------
@@ -62,7 +65,8 @@ def lateral_bus_sweep(
         platform = replace(DEFAULT_PLATFORM, lateral_buses=n)
         fab = SegmentedFabric(platform)
         src = make_rotation_sources(8, platform, address_map=fab.address_map)
-        rep = _run(fab, src, cycles)
+        rep = _run(FabricKind.XLNX, fab, src, cycles, "lateral",
+                   lateral_buses=n)
         rows.append(LateralRow(
             buses_per_direction=n,
             rotation8_gbps=rep.total_gbps,
@@ -93,7 +97,7 @@ def stack_scaling(
                                pch_capacity=256 * 1024 * 1024)
         fab = MaoFabric(platform)
         src = make_pattern_sources(Pattern.CCS, platform)
-        rep = _run(fab, src, cycles)
+        rep = _run(FabricKind.MAO, fab, src, cycles, "stacks", stacks=n)
         rows.append(StackRow(
             stacks=n,
             num_pch=platform.num_pch,
@@ -123,7 +127,8 @@ def granularity_sweep(
         fab = MaoFabric(DEFAULT_PLATFORM,
                         config=MaoConfig(interleave_granularity=gran))
         src = make_pattern_sources(Pattern.CCS, DEFAULT_PLATFORM)
-        rep = _run(fab, src, cycles)
+        rep = _run(FabricKind.MAO, fab, src, cycles, "granularity",
+                   granularity=gran)
         rows.append(GranularityRow(
             granularity=gran,
             ccs_gbps=rep.total_gbps,
@@ -154,7 +159,8 @@ def clock_sweep(
         fab = SegmentedFabric(platform)
         src = make_pattern_sources(Pattern.SCS, platform, rw=rw,
                                    address_map=fab.address_map)
-        rep = _run(fab, src, cycles)
+        rep = _run(FabricKind.XLNX, fab, src, cycles, "clock",
+                   accel_mhz=mhz, rw=rw)
         rows.append(ClockRow(accel_mhz=mhz, rw=rw, scs_gbps=rep.total_gbps))
     return rows
 
@@ -177,7 +183,7 @@ def refresh_policy(cycles: int = DEFAULT_CYCLES) -> List[RefreshRow]:
         platform = HbmPlatform(dram=DramTiming(per_bank_refresh=per_bank))
         fab = MaoFabric(platform)
         src = make_pattern_sources(Pattern.CCS, platform)
-        rep = _run(fab, src, cycles)
+        rep = _run(FabricKind.MAO, fab, src, cycles, "refresh", policy=name)
         rows.append(RefreshRow(
             policy=name,
             scs_gbps=rep.total_gbps,

@@ -20,25 +20,35 @@ Start one with ``repro-hbm serve``; talk to it with
 :class:`~repro.service.client.ServiceClient`.
 """
 
-from .store import ResultStore, entry_digest
-from .queue import JobFailure, JobQueue, JobResult, QueueClosed, QueueCounters
-from .http import (SERVICE_API_VERSION, BadRequest, ServiceServer,
-                   SweepService, run_server)
-from .client import ServiceClient, ServiceClientError
+from importlib import import_module
+from typing import Any
 
-__all__ = [
-    "ResultStore",
-    "entry_digest",
-    "JobFailure",
-    "JobQueue",
-    "JobResult",
-    "QueueClosed",
-    "QueueCounters",
-    "SERVICE_API_VERSION",
-    "BadRequest",
-    "ServiceServer",
-    "SweepService",
-    "run_server",
-    "ServiceClient",
-    "ServiceClientError",
-]
+#: Public name -> submodule defining it.  Names resolve on first use
+#: (PEP 562), so importing the client loads no server, queue or store.
+_EXPORTS = {
+    "ResultStore": "store",
+    "entry_digest": "store",
+    "JobFailure": "queue",
+    "JobQueue": "queue",
+    "JobResult": "queue",
+    "QueueClosed": "queue",
+    "QueueCounters": "queue",
+    "SERVICE_API_VERSION": "http",
+    "BadRequest": "http",
+    "HttpCounters": "http",
+    "ServiceServer": "http",
+    "SweepService": "http",
+    "run_server": "http",
+    "ServiceClient": "client",
+    "ServiceClientError": "client",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value

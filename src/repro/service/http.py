@@ -2,7 +2,14 @@
 
 Stdlib only (``asyncio.start_server`` + hand-rolled HTTP/1.1 GET
 parsing): the service must run inside the reproduction's existing
-environment, so no web framework.  Endpoints:
+environment, so no web framework.  Connections are persistent, as
+HTTP/1.1 makes them by default: one connection carries request after
+request, each head read whole under one :data:`REQUEST_TIMEOUT_S`.  The
+server closes a connection after the response to a ``Connection: close``
+or HTTP/1.0 request, and to any request it does not fully parse (a
+non-GET, a GET with a body, an incomplete, oversize or malformed head),
+so a connection is never left out of step with its client.
+:meth:`ServiceServer.stop` closes idle connections itself.  Endpoints:
 
 ``GET /healthz``
     Liveness probe.
@@ -21,7 +28,8 @@ environment, so no web framework.  Endpoints:
     ``wait=0`` returns ``202 Accepted`` with the job digest and warms
     the store in the background.
 ``GET /v1/stats``
-    Queue counters, in-flight depth, and store footprint.
+    Queue counters, in-flight depth, store footprint, and the HTTP
+    counters (connections accepted, requests answered).
 
 Every 200/202 response carries a ``manifest``
 (:func:`~repro.telemetry.manifest.service_manifest`) naming the answer's
@@ -36,7 +44,8 @@ import json
 import signal
 import time
 import urllib.parse
-from typing import Any, Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Optional, Set, Tuple
 
 from ..core.estimator import BandwidthEstimator, EstimateInputs
 from ..core.guidelines import (DesignDescription, evaluate_guidelines,
@@ -52,6 +61,10 @@ from .store import ResultStore
 
 #: Service protocol version (the ``/v1/`` path segment).
 SERVICE_API_VERSION = 1
+
+#: Seconds a connection may take to send a whole request head, idle time
+#: before it included; a connection that takes longer is closed.
+REQUEST_TIMEOUT_S = 30.0
 
 
 class BadRequest(ReproError):
@@ -107,6 +120,18 @@ def _parse_point(params: Dict[str, str], *,
         raise BadRequest(str(exc)) from exc
 
 
+@dataclass
+class HttpCounters:
+    """Connections the server accepted and requests it answered since
+    start; ``requests / connections`` is the reuse a client got."""
+
+    connections: int = 0
+    requests: int = 0
+
+    def as_dict(self) -> Dict[str, int]:
+        return {"connections": self.connections, "requests": self.requests}
+
+
 def _point_inputs(point: PatternPoint) -> Dict[str, Any]:
     """The normalized query echoed into the response manifest."""
     return {"fabric": point.fabric.value, "pattern": point.pattern.name,
@@ -129,6 +154,8 @@ class SweepService:
         self.surface = surface
         self.default_cycles = default_cycles
         self.estimator = BandwidthEstimator(store.platform)
+        #: Counted by the :class:`ServiceServer` in front of this service.
+        self.http = HttpCounters()
 
     # -- endpoint handlers -------------------------------------------------
 
@@ -262,6 +289,7 @@ class SweepService:
                 "misses": self.store.cache.misses,
             },
             "surface_samples": len(self.surface) if self.surface else 0,
+            "http": self.http.as_dict(),
             "manifest": service_manifest(
                 "stats", self.store.platform, source="analytic"),
         }
@@ -307,6 +335,46 @@ _REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
             503: "Service Unavailable"}
 
 
+def _parse_head(head: bytes) -> Optional[Tuple[str, str, bool]]:
+    """``(method, target, keep_alive)`` of one request head, or ``None``
+    if it is malformed.
+
+    ``keep_alive`` holds only for an HTTP/1.1 GET without a body and
+    without ``Connection: close``: after anything else the connection's
+    next byte is not known to start a request head.
+    """
+    lines = head.decode("latin-1").split("\r\n")
+    parts = lines[0].split()
+    if len(parts) != 3 or parts[2] not in ("HTTP/1.0", "HTTP/1.1"):
+        return None
+    method, target, version = parts
+    keep_alive = version == "HTTP/1.1" and method == "GET"
+    for line in lines[1:]:
+        if not line:
+            continue
+        name, colon, value = line.partition(":")
+        if not colon:
+            return None
+        name = name.strip().lower()
+        if name == "connection":
+            tokens = {t.strip().lower() for t in value.split(",")}
+            keep_alive = keep_alive and "close" not in tokens
+        elif name == "content-length":
+            keep_alive = keep_alive and value.strip() == "0"
+        elif name == "transfer-encoding":
+            keep_alive = False
+    return method, target, keep_alive
+
+
+def _response(status: int, body: Dict, keep_alive: bool) -> bytes:
+    payload = json.dumps(body, sort_keys=True).encode()
+    close = "" if keep_alive else "Connection: close\r\n"
+    head = (f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
+            f"Content-Type: application/json\r\n"
+            f"Content-Length: {len(payload)}\r\n{close}\r\n")
+    return head.encode("latin-1") + payload
+
+
 class ServiceServer:
     """The socket shell: framing, lifecycle, graceful drain."""
 
@@ -316,30 +384,43 @@ class ServiceServer:
         self.host = host
         self.port = port  #: actual bound port after :meth:`start`
         self._server: Optional[asyncio.AbstractServer] = None
+        self._stopping = False
+        #: Connections waiting for a request head: what :meth:`stop` closes.
+        self._idle: Set[asyncio.StreamWriter] = set()
 
     async def _on_connection(self, reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter) -> None:
+        counters = self.service.http
+        counters.connections += 1
         try:
-            request_line = await asyncio.wait_for(reader.readline(), 30.0)
-            parts = request_line.decode("latin-1").split()
-            if len(parts) < 2:
-                return
-            method, path = parts[0], parts[1]
-            # Drain headers (ignored: GET-only, no bodies).
-            while True:
-                line = await asyncio.wait_for(reader.readline(), 30.0)
-                if line in (b"\r\n", b"\n", b""):
-                    break
-            status, body = await self.service.handle(method, path)
-            payload = json.dumps(body, sort_keys=True).encode()
-            head = (f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
-                    f"Content-Type: application/json\r\n"
-                    f"Content-Length: {len(payload)}\r\n"
-                    f"Connection: close\r\n\r\n").encode("latin-1")
-            writer.write(head + payload)
-            await writer.drain()
+            keep_alive = True
+            while keep_alive and not self._stopping:
+                self._idle.add(writer)
+                try:
+                    head = await asyncio.wait_for(
+                        reader.readuntil(b"\r\n\r\n"), REQUEST_TIMEOUT_S)
+                    request = _parse_head(head)
+                except asyncio.IncompleteReadError as exc:
+                    if not exc.partial:
+                        return  # closed between requests
+                    request = None  # EOF inside a head
+                except asyncio.LimitOverrunError:
+                    request = None  # oversize head
+                finally:
+                    self._idle.discard(writer)
+                counters.requests += 1
+                if request is None:
+                    status, body = 400, {"error": "incomplete, oversize or "
+                                                  "malformed request head"}
+                    keep_alive = False
+                else:
+                    method, target, keep_alive = request
+                    status, body = await self.service.handle(method, target)
+                keep_alive = keep_alive and not self._stopping
+                writer.write(_response(status, body, keep_alive))
+                await writer.drain()
         except (asyncio.TimeoutError, ConnectionError, OSError):
-            pass  # client went away; nothing to answer
+            pass  # idle too long, or the client went away
         finally:
             try:
                 writer.close()
@@ -355,9 +436,18 @@ class ServiceServer:
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def stop(self) -> None:
-        """Graceful shutdown: stop accepting, drain the queue, close."""
+        """Graceful shutdown: stop accepting, close idle connections,
+        drain the queue.  A connection with a request in flight closes
+        after its response.
+
+        Idle connections are closed here because from Python 3.12.1 on
+        ``wait_closed`` also waits for every open connection.
+        """
+        self._stopping = True
         if self._server is not None:
             self._server.close()
+            for writer in list(self._idle):
+                writer.close()
             await self._server.wait_closed()
             self._server = None
         await self.service.queue.close(drain=True)

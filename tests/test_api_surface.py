@@ -7,6 +7,10 @@ signature.
 
 import importlib
 import inspect
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -92,3 +96,17 @@ def test_every_public_class_documented():
 def test_version():
     import repro
     assert repro.__version__.count(".") == 2
+
+
+def test_client_import_is_thin():
+    """The service client (and the benchmark worker that imports it)
+    loads no server, experiment registry or numpy: ``repro.service`` and
+    ``repro.experiments`` resolve their exports on first use."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    heavy = ("numpy", "repro.service.http", "repro.experiments.registry")
+    code = ("import sys, repro.service.client; "
+            f"print([m for m in {heavy!r} if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}).stdout
+    assert out.strip() == "[]"

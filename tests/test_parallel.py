@@ -113,7 +113,8 @@ class TestStoreResume:
     @pytest.mark.parametrize("argv", [
         ["run", "fig2", "--cycles", "1500"],
         ["run", "chaos", "--cycles", "600"],
-    ], ids=["fig2", "chaos"])
+        ["run", "extensions", "--cycles", "1500"],
+    ], ids=["fig2", "chaos", "extensions"])
     def test_rerun_against_the_store_simulates_nothing(
             self, argv, tmp_path, monkeypatch, capsys, engine_runs):
         from repro.experiments.runner import main

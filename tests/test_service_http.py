@@ -7,11 +7,19 @@ TCP — the same wiring the CI smoke job and production users get.
 
 import asyncio
 import concurrent.futures
+import os
+import pathlib
+import select
+import signal
+import socket
+import subprocess
+import sys
 import threading
 import time
 
 import pytest
 
+import repro.service.http as http_mod
 from repro.experiments.surface import PatternPoint, build_surface
 from repro.service import (JobQueue, ResultStore, ServiceClient,
                            ServiceClientError, ServiceServer, SweepService)
@@ -19,6 +27,7 @@ from repro.sim.cache import SimCache
 from repro.types import Pattern
 
 CYCLES = 800
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 class _BackgroundServer:
@@ -64,7 +73,23 @@ def served(small_platform):
     service = SweepService(store, queue, surface=surface,
                            default_cycles=CYCLES)
     with _BackgroundServer(service) as base_url:
-        yield ServiceClient(base_url), service
+        client = ServiceClient(base_url)
+        yield client, service
+        client.close()
+
+
+def _bare_service(platform) -> SweepService:
+    """A service without a surface, its HTTP counters at zero."""
+    store = ResultStore(cache=SimCache(), platform=platform)
+    return SweepService(store, JobQueue(store, workers=1),
+                        default_cycles=CYCLES)
+
+
+@pytest.fixture
+def bare(small_platform):
+    """A fresh server per test, for exact connection counts."""
+    with _BackgroundServer(_bare_service(small_platform)) as base_url:
+        yield base_url
 
 
 class TestEndpoints:
@@ -189,6 +214,12 @@ class TestEndpoints:
         assert body["store"]["memory_entries"] >= 1
         assert body["surface_samples"] == 3
         assert body["manifest"]["endpoint"] == "stats"
+        # This request is counted, on the connection this thread reused.
+        http = body["http"]
+        assert http["requests"] >= http["connections"] >= 1
+        again = client.stats()["http"]
+        assert again == {"connections": http["connections"],
+                         "requests": http["requests"] + 1}
 
     def test_unknown_route_is_404(self, served):
         client, _ = served
@@ -224,3 +255,174 @@ class TestEndpoints:
             assert m["platform_digest"]
             assert m["source"] in ("analytic", "store", "interpolated",
                                    "surface", "simulated", "deduped")
+
+
+def _connect(base_url: str) -> socket.socket:
+    host, port = base_url.rsplit("/", 1)[1].split(":")
+    sock = socket.create_connection((host, int(port)), timeout=10)
+    sock.settimeout(10)
+    return sock
+
+
+def _read_response(reader):
+    """``(status, headers, body)`` of one response read off ``reader``."""
+    status = int(reader.readline().split()[1])
+    headers = {}
+    while True:
+        line = reader.readline().decode("latin-1").strip()
+        if not line:
+            break
+        name, _, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    body = reader.read(int(headers["content-length"]))
+    return status, headers, body
+
+
+def _closed_by_server(sock) -> bool:
+    """The server closed ``sock``: the next read sees EOF (or a reset)
+    within the socket's timeout, not more data and not silence."""
+    try:
+        return sock.recv(1) == b""
+    except ConnectionResetError:
+        return True
+
+
+def _exchange(base_url: str, raw: bytes, *, shut_write: bool = False):
+    """Send ``raw`` on a fresh socket; the one response and whether the
+    server then closed the connection."""
+    with _connect(base_url) as sock:
+        sock.sendall(raw)
+        if shut_write:
+            sock.shutdown(socket.SHUT_WR)
+        with sock.makefile("rb") as reader:
+            response = _read_response(reader)
+        return response, _closed_by_server(sock)
+
+
+class TestKeepAlive:
+    """Persistent connections: one per client thread, closed exactly
+    when the framing can no longer be trusted or the client asks."""
+
+    def test_sequential_requests_share_one_connection(self, bare):
+        client = ServiceClient(bare)
+        try:
+            for _ in range(20):
+                assert client.healthz()["ok"] is True
+            assert client.stats()["http"] == {"connections": 1,
+                                              "requests": 21}
+        finally:
+            client.close()
+
+    @pytest.mark.parametrize("raw", [
+        b"GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
+        b"GET /healthz HTTP/1.0\r\n\r\n",
+    ], ids=["connection-close", "http-1.0"])
+    def test_close_requests_are_answered_then_closed(self, bare, raw):
+        (status, headers, body), closed = _exchange(bare, raw)
+        assert status == 200 and b'"ok": true' in body
+        assert headers["connection"] == "close"
+        assert closed
+
+    def test_error_responses_keep_the_connection(self, bare):
+        client = ServiceClient(bare)
+        try:
+            with pytest.raises(ServiceClientError) as info:
+                client.sweep(pattern="BOGUS")
+            assert info.value.status == 400
+            with pytest.raises(ServiceClientError) as info:
+                client._get("/v1/nope")
+            assert info.value.status == 404
+            assert client.stats()["http"] == {"connections": 1,
+                                              "requests": 3}
+        finally:
+            client.close()
+
+    @pytest.mark.parametrize("raw, shut_write, status", [
+        (b"POST /healthz HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}",
+         False, 405),
+        (b"GET /healthz HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}",
+         False, 200),
+        (b"NONSENSE\r\n\r\n", False, 400),
+        (b"GET /healthz HTTP/1.1\r\nno colon here\r\n\r\n", False, 400),
+        (b"GET /healthz HTTP/1.1\r\nHost: x\r\n", True, 400),
+    ], ids=["post-with-body", "get-with-body", "bad-request-line",
+            "bad-header", "eof-in-head"])
+    def test_unparsed_requests_close_after_their_response(
+            self, bare, raw, shut_write, status):
+        """After a request whose end the server cannot trust, the next
+        bytes need not start a request: answer, then close."""
+        (got, headers, _), closed = _exchange(bare, raw,
+                                              shut_write=shut_write)
+        assert got == status
+        assert headers["connection"] == "close"
+        assert closed
+
+    def test_base_url_prefix_and_schemes(self, bare):
+        client = ServiceClient(bare + "/prefix/")
+        try:
+            with pytest.raises(ServiceClientError) as info:
+                client.healthz()
+            assert info.value.status == 404
+            assert info.value.body["error"] == \
+                "no such endpoint: /prefix/healthz"
+        finally:
+            client.close()
+        ServiceClient("https://127.0.0.1:1")  # connects on first use only
+        with pytest.raises(ValueError):
+            ServiceClient("ftp://127.0.0.1:21")
+
+    def test_client_retries_once_when_an_idle_connection_was_dropped(
+            self, bare, monkeypatch):
+        monkeypatch.setattr(http_mod, "REQUEST_TIMEOUT_S", 0.2)
+        client = ServiceClient(bare)
+        try:
+            client.healthz()
+            # Wait until the server has dropped the idle connection.
+            sock = client._local.conn.sock
+            assert select.select([sock], [], [], 10)[0], "never dropped"
+            monkeypatch.setattr(http_mod, "REQUEST_TIMEOUT_S", 30.0)
+            assert client.healthz()["ok"] is True
+            assert client.stats()["http"] == {"connections": 2,
+                                              "requests": 3}
+        finally:
+            client.close()
+
+    def test_stop_closes_idle_connections_promptly(self, small_platform):
+        client = idle = None
+        try:
+            with _BackgroundServer(_bare_service(small_platform)) as base_url:
+                client = ServiceClient(base_url)
+                idle = _connect(base_url)
+                client.healthz()  # a kept-alive connection, now idle too
+                start = time.monotonic()
+            assert time.monotonic() - start < 5.0
+            assert _closed_by_server(idle)
+            assert _closed_by_server(client._local.conn.sock)
+        finally:
+            if idle is not None:
+                idle.close()
+            if client is not None:
+                client.close()
+
+    def test_serve_stops_on_sigint_with_an_idle_connection(self, tmp_path):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--no-surface", "--store-dir", str(tmp_path)],
+            cwd=ROOT, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            stdout=subprocess.PIPE, text=True)
+        client = None
+        try:
+            line = proc.stdout.readline()
+            assert "listening on http://" in line, line
+            client = ServiceClient(line.split("listening on ", 1)[1].strip())
+            client.healthz()  # the server now holds the connection idle
+            proc.send_signal(signal.SIGINT)
+            out, _ = proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+            if client is not None:
+                client.close()
+        assert proc.returncode == 0
+        assert "repro-hbm service stopped gracefully" in out
