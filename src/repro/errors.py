@@ -22,7 +22,7 @@ Hierarchy::
     │       ├── BankStateViolation       column access to a closed/wrong row
     │       └── RetryConsistencyViolation  retry/watchdog bookkeeping broken
     ├── ResourceError          design exceeds FPGA resource capacity
-    ├── SweepError             supervised sweep finished with holes/interrupt
+    ├── SweepError             supervised sweep finished with holes
     └── FaultError             *modelled* hardware misbehaving (repro.faults)
         ├── TransactionTimeout a watched transaction exceeded its deadline
         ├── DeadlockError      global progress watchdog: no forward progress
@@ -147,11 +147,12 @@ class ResourceError(ReproError):
 class SweepError(ReproError):
     """A supervised sweep (:mod:`repro.runtime`) did not complete cleanly.
 
-    Raised by strict callers when a :class:`~repro.runtime.SweepOutcome`
-    carries task failures (poisoned/timed-out/crashed points) or was
-    interrupted before every point ran.  The outcome — including every
-    result that *did* complete — is attached as ``outcome``, so nothing
-    already computed is lost to the raise.
+    Raised by :meth:`~repro.runtime.SweepOutcome.require_complete` (so
+    by every :func:`~repro.experiments.parallel.parallel_sweep`) when
+    the outcome carries task failures: points that raised (``error``)
+    or kept killing or hanging their worker (``poison``).  The outcome
+    — including every result that *did* complete — is attached as
+    ``outcome``, so nothing already computed is lost to the raise.
     """
 
     def __init__(self, message: str, outcome=None) -> None:

@@ -38,6 +38,7 @@ import warnings
 from typing import Callable, List, Optional, Sequence, TypeVar
 
 from ..runtime import SupervisedPool, SweepOutcome, TaskFailure
+from ..runtime.pool import _describe
 from ..sim.cache import MISS
 
 T = TypeVar("T")
@@ -66,8 +67,6 @@ def supervised_sweep(
     cache=None,
     key_fn: Optional[Callable[[T], tuple]] = None,
     task_timeout: Optional[float] = None,
-    max_crash_retries: int = 2,
-    quarantine: bool = True,
     force_pool: bool = False,
 ) -> SweepOutcome:
     """Map ``fn`` over ``items`` under full supervision.
@@ -90,14 +89,13 @@ def supervised_sweep(
     keys = ([key_fn(item) for item in items]
             if cache is not None and key_fn is not None else None)
 
-    results: List = [None] * len(items)
-    outcome = SweepOutcome(total=len(items), results=results)
+    outcome = SweepOutcome(total=len(items), results=[None] * len(items))
     todo: List[int] = []
     for i in range(len(items)):
         if keys is not None:
             hit = cache.lookup(keys[i])
             if hit is not MISS:
-                results[i] = hit
+                outcome.results[i] = hit
                 outcome.completed.append(i)
                 continue
         todo.append(i)
@@ -118,30 +116,18 @@ def supervised_sweep(
                 value = fn(items[i])
             except Exception as exc:  # noqa: BLE001 — structured failure
                 outcome.failures.append(TaskFailure(
-                    index=i, task=repr(items[i])[:120], kind="error",
+                    index=i, task=_describe(items[i]), kind="error",
                     detail=f"{type(exc).__name__}: {exc}", attempts=1))
                 continue
-            results[i] = value
+            outcome.results[i] = value
             outcome.completed.append(i)
             on_result(i, value)
         return outcome
 
-    pool = SupervisedPool(
-        workers=min(n, len(todo)),
-        task_timeout=task_timeout,
-        max_crash_retries=max_crash_retries,
-        quarantine=quarantine,
-    )
-    sub = pool.map(fn, items, indices=todo, results=results,
-                   on_result=on_result)
-    outcome.results = sub.results
-    outcome.completed.extend(sub.completed)
-    outcome.failures = sub.failures
-    outcome.pending = sub.pending
-    outcome.retries = sub.retries
-    outcome.rebuilds = sub.rebuilds
-    outcome.quarantined = sub.quarantined
-    return outcome
+    pool = SupervisedPool(workers=min(n, len(todo)),
+                          task_timeout=task_timeout)
+    return pool.map(fn, items, indices=todo, outcome=outcome,
+                    on_result=on_result)
 
 
 def parallel_sweep(
@@ -151,8 +137,6 @@ def parallel_sweep(
     *,
     cache=None,
     key_fn: Optional[Callable[[T], tuple]] = None,
-    task_timeout: Optional[float] = None,
-    strict: bool = True,
 ) -> List[R]:
     """Map ``fn`` over ``items``, optionally across processes.
 
@@ -168,15 +152,12 @@ def parallel_sweep(
     caches die with the workers.
 
     Runs on the supervised runtime: worker death and hangs surface as
-    structured holes, not ``BrokenProcessPool``.  With ``strict=True``
-    (default) an incomplete sweep raises
-    :class:`~repro.errors.SweepError` carrying the partial
-    :class:`~repro.runtime.SweepOutcome`; ``strict=False`` returns the
-    results list with ``None`` holes for callers that degrade.
+    structured holes, not ``BrokenProcessPool``.  An incomplete sweep
+    raises :class:`~repro.errors.SweepError` carrying the partial
+    :class:`~repro.runtime.SweepOutcome`; a caller that degrades instead
+    calls :func:`supervised_sweep`, whose outcome keeps ``None`` in the
+    holes.
     """
-    outcome = supervised_sweep(
-        fn, items, workers, cache=cache, key_fn=key_fn,
-        task_timeout=task_timeout)
-    if strict:
-        outcome.require_complete()
-    return outcome.results  # type: ignore[return-value]
+    outcome = supervised_sweep(fn, items, workers, cache=cache,
+                               key_fn=key_fn)
+    return outcome.require_complete().results  # type: ignore[return-value]

@@ -34,7 +34,9 @@ Record kinds (the ``type`` field):
 ``resume``    appended every time an existing journal is reopened
 ``start``     task dispatched (``task`` id)
 ``finish``    task completed (``task`` id, optional ``payload`` object)
-``failure``   task failed permanently (``task`` id, ``failure`` object)
+
+A ``start`` with no ``finish`` names the task a crashed run was
+executing; a resume runs it again.
 
 Task ids are caller-chosen strings; the fuzz driver uses the
 content-addressed :func:`~repro.conformance.driver.case_digest` of each
@@ -65,9 +67,7 @@ class JournalState:
     meta: Dict[str, Any] = field(default_factory=dict)
     #: task id -> the ``payload`` object its ``finish`` record carried.
     finished: Dict[str, Any] = field(default_factory=dict)
-    #: task id -> the ``failure`` object of a permanent failure record.
-    failed: Dict[str, Any] = field(default_factory=dict)
-    #: ids with a ``start`` but no terminal record — in flight at the
+    #: ids with a ``start`` but no ``finish`` — in flight at the
     #: moment the journaled run died; a resume re-executes them.
     started: Set[str] = field(default_factory=set)
     #: total records read (headers and resume markers included).
@@ -136,11 +136,6 @@ def load_journal(path: str) -> JournalState:
             task = str(rec["task"])
             state.finished[task] = rec.get("payload")
             state.started.discard(task)
-            state.failed.pop(task, None)
-        elif kind == "failure":
-            task = str(rec["task"])
-            state.failed[task] = rec.get("failure")
-            state.started.discard(task)
         else:
             raise ConfigError(
                 f"journal {path} line {lineno}: unknown record type "
@@ -193,9 +188,6 @@ class RunJournal:
 
     def finish(self, task_id: str, payload: Any = None) -> None:
         self.record("finish", task=task_id, payload=payload)
-
-    def failure(self, task_id: str, failure: Dict[str, Any]) -> None:
-        self.record("failure", task=task_id, failure=failure)
 
     # -- lifecycle -----------------------------------------------------------
 

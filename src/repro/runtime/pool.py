@@ -8,7 +8,7 @@ on ``submit`` + bounded in-flight windows that
 
 * enforces a per-task wall-clock **timeout** (a hung simulation cannot
   stall the whole sweep; the pool is rebuilt and the stuck task
-  accounted),
+  charged),
 * survives **worker death** (``BrokenProcessPool`` or a timeout kill):
   the pool is rebuilt with capped-exponential backoff and the tasks
   that were in flight are retried,
@@ -17,18 +17,13 @@ on ``submit`` + bounded in-flight windows that
   suspects, none is charged; each is re-run alone, then the full
   window resumes, so an innocent neighbour of a crasher never uses up
   its crash budget,
-* quarantines **poison tasks**: a task charged with ``max_crash_retries
-  + 1`` worker deaths is retried once in an isolated single-task
-  subprocess (which also rescues a task that only dies in shared
-  pools) and, if it still fails, reported as a structured
+* quarantines **poison tasks**: a task charged ``MAX_CRASH_RETRIES + 1``
+  times (worker deaths or timeouts) is retried once in an isolated
+  single-task subprocess (which also rescues a task that only dies in
+  shared pools) and, if it still fails, reported as a structured
   :class:`TaskFailure` instead of aborting the sweep — partial results
   with explicit holes, mirroring the NACK-and-degrade philosophy of
-  :mod:`repro.faults`,
-* supports **graceful interruption** via a ``should_stop`` predicate
-  (wired to SIGINT/SIGTERM by :class:`repro.runtime.signals
-  .GracefulShutdown`): dispatch stops, in-flight tasks drain against a
-  deadline, and the never-started remainder is reported as ``pending``
-  so a journaled run can resume exactly.
+  :mod:`repro.faults`.
 
 Everything lands in a :class:`SweepOutcome`: ordered results, the set of
 holes, and the supervision accounting (retries, pool rebuilds,
@@ -52,14 +47,22 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Deque, Dict, List, Optional, Sequence,
-                    Set, Tuple)
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import SweepError
 
 #: Environment marker set inside quarantine workers, so a task (or a
 #: test) can tell it is running in the isolated retry.
 ISOLATED_ENV = "REPRO_ISOLATED_TASK"
+
+#: Worker deaths (or timeouts) a task may be charged with before its
+#: isolated retry.
+MAX_CRASH_RETRIES = 2
+
+#: Pause before the n-th pool rebuild: ``BACKOFF_BASE_S * 2**(n-1)``
+#: seconds, at most ``BACKOFF_CAP_S``.
+BACKOFF_BASE_S = 0.1
+BACKOFF_CAP_S = 2.0
 
 
 def _describe(item: Any, limit: int = 120) -> str:
@@ -83,9 +86,9 @@ class TaskFailure:
     """``repr`` of the item (truncated) — enough to re-run it by hand."""
 
     kind: str
-    """``error`` (task function raised), ``timeout`` (exceeded the
-    per-task wall-clock budget), ``crash`` (killed its worker), or
-    ``poison`` (kept killing workers and failed the isolated retry)."""
+    """``error`` (the task function raised) or ``poison`` (the task kept
+    killing its worker or overrunning the task timeout, and failed its
+    isolated retry too)."""
 
     detail: str
     attempts: int = 1
@@ -101,23 +104,18 @@ class SweepOutcome:
 
     total: int
     results: List[Any] = field(default_factory=list)
-    """Input-ordered; slots of failed/pending tasks hold ``None``.
-    Check :attr:`failures`/:attr:`pending` before trusting a ``None``."""
+    """Input-ordered; the slot of a failed task holds ``None``.  Check
+    :attr:`failures` before trusting a ``None``."""
 
     completed: List[int] = field(default_factory=list)
     failures: List[TaskFailure] = field(default_factory=list)
-    pending: List[int] = field(default_factory=list)
-    """Indices never (or not terminally) run — non-empty only when the
-    sweep was interrupted; a resumed run re-executes exactly these."""
-
     retries: int = 0
     rebuilds: int = 0
     quarantined: int = 0
-    interrupted: bool = False
 
     @property
     def ok(self) -> bool:
-        return not self.failures and not self.interrupted
+        return not self.failures
 
     @property
     def holes(self) -> List[int]:
@@ -128,16 +126,12 @@ class SweepOutcome:
         if self.failures:
             bits.append(f"{len(self.failures)} failed "
                         f"({', '.join(sorted({f.kind for f in self.failures}))})")
-        if self.pending:
-            bits.append(f"{len(self.pending)} pending")
         if self.retries:
             bits.append(f"{self.retries} retries")
         if self.rebuilds:
             bits.append(f"{self.rebuilds} pool rebuilds")
         if self.quarantined:
             bits.append(f"{self.quarantined} quarantined")
-        if self.interrupted:
-            bits.append("interrupted")
         return ", ".join(bits)
 
     def require_complete(self) -> "SweepOutcome":
@@ -157,27 +151,15 @@ class SupervisedPool:
     ``workers`` fixes both the pool size and the in-flight window: at
     most ``workers`` tasks are submitted at a time, so the per-task
     timeout clock starts ticking approximately when the task starts
-    executing, and an interrupt never strands a deep submit queue.
+    executing.
     """
 
     def __init__(self, workers: int, *,
-                 task_timeout: Optional[float] = None,
-                 max_crash_retries: int = 2,
-                 backoff_base: float = 0.1,
-                 backoff_cap: float = 2.0,
-                 quarantine: bool = True,
-                 poll_interval: float = 0.05) -> None:
+                 task_timeout: Optional[float] = None) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if max_crash_retries < 0:
-            raise ValueError("max_crash_retries must be >= 0")
         self.workers = workers
         self.task_timeout = task_timeout
-        self.max_crash_retries = max_crash_retries
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
-        self.quarantine = quarantine
-        self.poll_interval = poll_interval
 
     # -- pool lifecycle ------------------------------------------------------
 
@@ -222,34 +204,24 @@ class SupervisedPool:
 
     def map(self, fn: Callable[[Any], Any], items: Sequence[Any], *,
             indices: Optional[Sequence[int]] = None,
-            results: Optional[List[Any]] = None,
-            on_dispatch: Optional[Callable[[int], None]] = None,
+            outcome: Optional[SweepOutcome] = None,
             on_result: Optional[Callable[[int, Any], None]] = None,
-            on_failure: Optional[Callable[[TaskFailure], None]] = None,
-            should_stop: Optional[Callable[[], bool]] = None,
-            drain_timeout: float = 30.0) -> SweepOutcome:
+            ) -> SweepOutcome:
         """Map ``fn`` over ``items`` under supervision.
 
         ``indices`` restricts execution to a subset of positions (the
-        cache/journal layers skip already-satisfied points); ``results``
-        seeds the outcome's result list (must have ``len(items)`` slots).
-        ``on_dispatch(index)`` fires on first dispatch of each task (the
-        journal's ``start`` hook); ``on_result(index, value)`` fires the
-        moment each task completes — the streaming-checkpoint hook
-        (``cache.put``, journal append) — and ``on_failure(failure)``
-        when a task is given up on.
-        ``should_stop()`` polled between dispatches requests a graceful
-        stop: no new dispatch, in-flight drained for ``drain_timeout``
-        seconds, remainder reported as ``pending``.
+        cache layer skips already-stored points).  ``outcome`` is filled
+        in place when given (the sweep layer passes the one that already
+        holds its cache hits); otherwise a fresh one is returned.
+        ``on_result(index, value)`` fires the moment each task completes
+        — the streaming-checkpoint hook (``cache.put``).  The map
+        returns once every index has completed or failed.
         """
         items = list(items)
         todo = list(range(len(items))) if indices is None else list(indices)
-        outcome = SweepOutcome(
-            total=len(todo),
-            results=(list(results) if results is not None
-                     else [None] * len(items)))
-        if len(outcome.results) != len(items):
-            raise ValueError("results seed must have one slot per item")
+        if outcome is None:
+            outcome = SweepOutcome(total=len(todo),
+                                   results=[None] * len(items))
 
         queue: Deque[int] = deque(todo)
         # Suspects of a worker death that had company in flight, each
@@ -257,13 +229,11 @@ class SupervisedPool:
         # stays set until the last of them has finished.
         solo: Deque[int] = deque()
         isolating = False
-        dispatched: Set[int] = set()
         crashes: Dict[int, int] = {}     # index -> pool-fatal attempts
         fail_kind: Dict[int, str] = {}   # index -> "crash" | "timeout"
         pool: Optional[ProcessPoolExecutor] = None
         inflight: Dict[Any, int] = {}    # Future -> index
         deadlines: Dict[Any, float] = {}  # Future -> monotonic deadline
-        stopping = False
 
         def record_result(i: int, value: Any) -> None:
             outcome.results[i] = value
@@ -273,32 +243,26 @@ class SupervisedPool:
 
         def record_failure(i: int, kind: str, detail: str,
                            attempts: int) -> None:
-            failure = TaskFailure(
+            outcome.failures.append(TaskFailure(
                 index=i, task=_describe(items[i]), kind=kind,
-                detail=detail, attempts=attempts)
-            outcome.failures.append(failure)
-            if on_failure is not None:
-                on_failure(failure)
+                detail=detail, attempts=attempts))
 
-        def handle_suspect(i: int) -> None:
-            """A task whose crash budget is exhausted: isolate or fail."""
-            attempts = crashes.get(i, 0)
-            kind = fail_kind.get(i, "crash")
+        def quarantine(i: int) -> None:
+            """A task whose crash budget is exhausted: one isolated
+            retry, and a ``poison`` hole if that fails too."""
+            attempts = crashes[i]
             history = (f"lost to {attempts} worker death(s)"
-                       if kind == "crash"
+                       if fail_kind[i] == "crash"
                        else f"exceeded the {self.task_timeout}s task "
                             f"timeout {attempts} time(s)")
-            if self.quarantine:
-                outcome.quarantined += 1
-                outcome.retries += 1
-                ok, payload = self._run_isolated(fn, items[i])
-                if ok:
-                    record_result(i, payload)
-                    return
+            outcome.quarantined += 1
+            outcome.retries += 1
+            ok, payload = self._run_isolated(fn, items[i])
+            if ok:
+                record_result(i, payload)
+            else:
                 record_failure(i, "poison", f"{history}; {payload}",
                                attempts=attempts + 1)
-            else:
-                record_failure(i, kind, history, attempts=attempts)
 
         def recover_lost(lost: List[int], offenders: Sequence[int],
                          into: Deque[int]) -> None:
@@ -316,11 +280,11 @@ class SupervisedPool:
             outcome.retries += len(lost)
             # Requeue at the front so recovery precedes fresh dispatch;
             # suspects whose budget is exhausted are intercepted at
-            # dispatch time by handle_suspect().
+            # dispatch time by quarantine().
             for i in sorted(lost, reverse=True):
                 into.appendleft(i)
-            backoff = min(self.backoff_cap,
-                          self.backoff_base * (2 ** (outcome.rebuilds - 1)))
+            backoff = min(BACKOFF_CAP_S,
+                          BACKOFF_BASE_S * (2 ** (outcome.rebuilds - 1)))
             if backoff > 0:
                 time.sleep(backoff)
 
@@ -337,17 +301,10 @@ class SupervisedPool:
                 fail_kind.setdefault(i, "crash")
             recover_lost(suspects, suspects, queue)
 
-        drain_deadline: Optional[float] = None
         try:
             while queue or solo or inflight:
-                if (should_stop is not None and should_stop()
-                        and not stopping):
-                    stopping = True
-                    outcome.interrupted = True
-                    drain_deadline = (time.monotonic()  # det-lint: allow
-                                      + drain_timeout)
                 # -- dispatch ------------------------------------------------
-                while not stopping:
+                while True:
                     if isolating and not solo and not inflight:
                         isolating = False  # every suspect ran alone
                     if isolating:
@@ -359,14 +316,11 @@ class SupervisedPool:
                     else:
                         break
                     i = source.popleft()
-                    if crashes.get(i, 0) > self.max_crash_retries:
-                        handle_suspect(i)
+                    if crashes.get(i, 0) > MAX_CRASH_RETRIES:
+                        quarantine(i)
                         continue
                     if pool is None:
                         pool = ProcessPoolExecutor(max_workers=self.workers)
-                    if on_dispatch is not None and i not in dispatched:
-                        dispatched.add(i)
-                        on_dispatch(i)
                     try:
                         future = pool.submit(fn, items[i])
                     except BrokenProcessPool:
@@ -382,18 +336,14 @@ class SupervisedPool:
                             time.monotonic()  # det-lint: allow
                             + self.task_timeout)
                 if not inflight:
-                    if stopping:
-                        break
                     continue
                 # -- wait ----------------------------------------------------
-                now = time.monotonic()  # det-lint: allow
-                timeout = self.poll_interval
+                # Until a task completes (a worker death completes every
+                # task in flight) or the nearest task deadline passes.
+                timeout = None
                 if deadlines:
-                    timeout = min(timeout,
-                                  max(0.0, min(deadlines.values()) - now))
-                if drain_deadline is not None:
-                    timeout = min(timeout,
-                                  max(0.0, drain_deadline - now))
+                    timeout = max(0.0, min(deadlines.values())
+                                  - time.monotonic())  # det-lint: allow
                 done, _ = wait(set(inflight), timeout=timeout,
                                return_when=FIRST_COMPLETED)
                 # -- completions ---------------------------------------------
@@ -427,24 +377,6 @@ class SupervisedPool:
                         fail_kind[i] = "timeout"
                     recover_lost(sorted(inflight.values()), offenders,
                                  queue)
-                    continue
-                # -- drain deadline ------------------------------------------
-                if (drain_deadline is not None
-                        and time.monotonic() > drain_deadline):  # det-lint: allow
-                    break
-            # Anything still queued or in flight after an interrupt is
-            # pending work for a resumed run, not a failure.
-            if stopping:
-                leftovers = sorted(set(queue) | set(solo)
-                                   | set(inflight.values()))
-                outcome.pending = [i for i in leftovers
-                                   if i not in outcome.completed]
         finally:
             self._kill_pool(pool)
-        outcome.pending.extend(
-            i for i in todo
-            if i not in outcome.completed
-            and i not in {f.index for f in outcome.failures}
-            and i not in outcome.pending)
-        outcome.pending.sort()
         return outcome

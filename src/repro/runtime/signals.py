@@ -1,13 +1,13 @@
 """Graceful-shutdown plumbing for long-running harness commands.
 
 :class:`GracefulShutdown` is a context manager that converts the first
-SIGINT/SIGTERM into a *request* — a flag the supervised pool and the
-fuzz campaign loop poll between units of work — instead of an immediate
-``KeyboardInterrupt`` mid-simulation.  The run then stops dispatching,
-drains what is in flight, flushes its journal, and the CLI prints the
-exact resume command.  A second SIGINT means "no really, now": the
-original handler (normally ``KeyboardInterrupt``) is re-raised so an
-operator is never trapped behind a stuck drain.
+SIGINT/SIGTERM into a *request* — a flag the fuzz campaign loop polls
+between cases — instead of an immediate ``KeyboardInterrupt``
+mid-simulation.  The campaign then stops before its next case (its
+journal already holds every finished one), and the CLI prints the exact
+resume command.  A second SIGINT means "no really, now": the original
+handler (normally ``KeyboardInterrupt``) is re-raised so an operator is
+never trapped behind a long case.
 
 Signal handlers can only be installed from the main thread; elsewhere
 (test runners, embedded use) the context degrades to a pure flag that
@@ -18,17 +18,13 @@ from __future__ import annotations
 
 import signal
 from types import FrameType
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 
 class GracefulShutdown:
     """Two-stage SIGINT/SIGTERM handler (see module docstring)."""
 
-    def __init__(self,
-                 signals: Tuple[int, ...] = (signal.SIGINT, signal.SIGTERM),
-                 on_request: Optional[Callable[[], None]] = None) -> None:
-        self._signals = signals
-        self._on_request = on_request
+    def __init__(self) -> None:
         self._requested = False
         self._previous: Dict[int, Any] = {}
         self._installed = False
@@ -46,8 +42,6 @@ class GracefulShutdown:
     def request(self) -> None:
         """Programmatic shutdown request (tests, deadline logic)."""
         self._requested = True
-        if self._on_request is not None:
-            self._on_request()
 
     # -- signal plumbing -----------------------------------------------------
 
@@ -73,7 +67,7 @@ class GracefulShutdown:
 
     def __enter__(self) -> "GracefulShutdown":
         try:
-            for signum in self._signals:
+            for signum in (signal.SIGINT, signal.SIGTERM):
                 self._previous[signum] = signal.signal(signum, self._handle)
             self._installed = True
         except ValueError:

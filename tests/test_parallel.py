@@ -13,6 +13,7 @@ import pytest
 from repro.errors import SweepError
 from repro.experiments.parallel import (default_workers, parallel_sweep,
                                         supervised_sweep)
+from repro.runtime import pool as pool_mod
 
 
 def _square(x):
@@ -78,6 +79,10 @@ class TestParallelSweep:
 
 
 class TestCrashSafety:
+    @pytest.fixture(autouse=True)
+    def _fast_backoff(self, monkeypatch):
+        monkeypatch.setattr(pool_mod, "BACKOFF_BASE_S", 0.01)
+
     def test_worker_kill_surfaces_as_sweep_error_not_broken_pool(self):
         """Acceptance scenario: one point SIGKILLs its worker.  The
         sweep finishes every other point and reports the casualty as a
@@ -87,14 +92,16 @@ class TestCrashSafety:
             parallel_sweep(_crash_on, items, workers=2)
         outcome = info.value.outcome
         assert outcome.holes == [2]
-        assert outcome.failures[0].kind in ("crash", "poison")
+        assert outcome.failures[0].kind == "poison"
         assert sorted(outcome.completed) == [0, 1, 3, 4, 5]
         assert [outcome.results[i] for i in (0, 1, 3, 4, 5)] == \
                [0, 1, 9, 16, 25]
 
     def test_non_strict_sweep_returns_partial_results_with_holes(self):
+        """``supervised_sweep`` is the degrading caller's entry point:
+        the same crash leaves ``None`` in its slot instead of a raise."""
         items = [(i, i == 1) for i in range(4)]
-        out = parallel_sweep(_crash_on, items, workers=2, strict=False)
+        out = supervised_sweep(_crash_on, items, workers=2).results
         assert out[0] == 0 and out[2] == 4 and out[3] == 9
         assert out[1] is None  # the hole
 
@@ -103,6 +110,34 @@ class TestCrashSafety:
         assert outcome.failures[0].kind == "error"
         assert "TypeError" in outcome.failures[0].detail
         assert outcome.results[1] == 4
+
+    def test_inline_and_pool_failures_describe_the_task_alike(self):
+        """A long item's repr is cut to 120 characters with a ``...``
+        marker on both paths, so a hole reads the same either way."""
+        long_item = "x" * 500
+        inline = supervised_sweep(_square, [long_item], workers=1)
+        pooled = supervised_sweep(_square, [long_item], workers=2,
+                                  force_pool=True)
+        texts = [o.failures[0].task for o in (inline, pooled)]
+        assert texts[0] == texts[1]
+        assert len(texts[0]) == 120 and texts[0].endswith("...")
+
+    def test_cache_hits_and_pool_results_share_one_outcome(self):
+        """The pool fills the outcome the sweep built around its cache
+        hits: totals, completions and results cover every item."""
+        from repro.sim.cache import SimCache
+
+        def key_fn(x):
+            return ("square", x)
+
+        cache = SimCache()
+        cache.put(key_fn(1), 1)
+        outcome = supervised_sweep(_square, [1, 2, 3], workers=2,
+                                   cache=cache, key_fn=key_fn)
+        assert outcome.ok and outcome.total == 3
+        assert outcome.results == [1, 4, 9]
+        assert sorted(outcome.completed) == [0, 1, 2]
+        assert cache.lookup(key_fn(3)) == 9  # checkpointed as it landed
 
 
 class TestStoreResume:

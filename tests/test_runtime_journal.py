@@ -16,15 +16,13 @@ def test_round_trip(tmp_path):
     with RunJournal(path, meta={"kind": "unit", "seed": 7}) as journal:
         journal.start("a")
         journal.finish("a", {"value": 1})
-        journal.start("b")
-        journal.failure("b", {"kind": "crash", "detail": "boom"})
-        journal.start("c")  # in flight at "crash" time — no terminal record
+        journal.start("b")  # in flight at "crash" time — no finish
     state = load_journal(path)
     assert state.version == JOURNAL_VERSION
     assert state.meta == {"kind": "unit", "seed": 7}
     assert state.is_finished("a") and state.payload("a") == {"value": 1}
-    assert state.failed["b"] == {"kind": "crash", "detail": "boom"}
-    assert state.started == {"c"}
+    assert not state.is_finished("b")
+    assert state.started == {"b"}
     assert state.resumes == 0
 
 
@@ -85,13 +83,17 @@ def test_empty_and_headerless_journals_raise(tmp_path):
 
 
 def test_unknown_record_type_raises(tmp_path):
-    path = str(tmp_path / "run.jsonl")
-    with RunJournal(path, meta={}):
-        pass
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps({"type": "telemetry", "x": 1}) + "\n")
-    with pytest.raises(ConfigError, match="unknown record type"):
-        load_journal(path)
+    # ``failure`` records are no longer written, so they are refused too.
+    for i, record in enumerate([{"type": "telemetry", "x": 1},
+                                {"type": "failure", "task": "t",
+                                 "failure": {"kind": "crash"}}]):
+        path = str(tmp_path / f"run{i}.jsonl")
+        with RunJournal(path, meta={}):
+            pass
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(record) + "\n")
+        with pytest.raises(ConfigError, match="unknown record type"):
+            load_journal(path)
 
 
 def test_resume_appends_marker_and_preserves_history(tmp_path):
@@ -111,18 +113,19 @@ def test_resume_of_missing_journal_raises(tmp_path):
         RunJournal(str(tmp_path / "nope.jsonl"), resume=True)
 
 
-def test_finish_supersedes_failure_on_retry(tmp_path):
-    """A task that failed in run 1 but succeeded in run 2 is finished."""
+def test_finish_supersedes_start_on_resume(tmp_path):
+    """A task in flight when run 1 died and finished by run 2 is
+    finished, no longer started."""
     path = str(tmp_path / "run.jsonl")
     with RunJournal(path, meta={}) as journal:
         journal.start("t")
-        journal.failure("t", {"kind": "crash", "detail": "x"})
+    assert load_journal(path).started == {"t"}
     with RunJournal(path, resume=True) as journal:
         journal.start("t")
         journal.finish("t", {"v": 42})
     state = load_journal(path)
     assert state.is_finished("t") and state.payload("t") == {"v": 42}
-    assert "t" not in state.failed and "t" not in state.started
+    assert "t" not in state.started
 
 
 def test_closed_journal_refuses_writes(tmp_path):

@@ -67,34 +67,37 @@ def _hang_on(x):
     return value * value
 
 
-def _fast_pool(**kwargs) -> SupervisedPool:
-    kwargs.setdefault("workers", 2)
-    kwargs.setdefault("backoff_base", 0.01)
-    return SupervisedPool(**kwargs)
+@pytest.fixture(autouse=True)
+def _fast_backoff(monkeypatch):
+    """Rebuild the pool after 10 ms instead of 100 ms."""
+    monkeypatch.setattr(pool_mod, "BACKOFF_BASE_S", 0.01)
 
 
 class TestHappyPath:
     def test_map_preserves_order(self):
-        outcome = _fast_pool().map(_square, list(range(8)))
+        outcome = SupervisedPool(2).map(_square, list(range(8)))
         assert outcome.results == [x * x for x in range(8)]
         assert outcome.ok and not outcome.holes
         assert sorted(outcome.completed) == list(range(8))
         assert outcome.retries == 0 and outcome.rebuilds == 0
 
     def test_indices_subset_and_seeded_results(self):
-        results = ["keep", None, None, "keep2"]
-        outcome = _fast_pool().map(_square, [9, 2, 3, 9],
-                                   indices=[1, 2], results=results)
+        """Only the listed indices run, and a passed outcome is filled
+        in place around the results it already holds."""
+        alone = SupervisedPool(2).map(_square, [9, 2, 3, 9], indices=[1, 2])
+        assert alone.results == [None, 4, 9, None]
+        assert alone.total == 2
+        seeded = SweepOutcome(total=4, results=["keep", None, None, "keep2"],
+                              completed=[0, 3])
+        outcome = SupervisedPool(2).map(_square, [9, 2, 3, 9], indices=[1, 2],
+                                   outcome=seeded)
+        assert outcome is seeded
         assert outcome.results == ["keep", 4, 9, "keep2"]
-        assert outcome.total == 2
+        assert sorted(outcome.completed) == [0, 1, 2, 3]
 
     def test_bad_args_rejected(self):
         with pytest.raises(ValueError, match="workers"):
             SupervisedPool(workers=0)
-        with pytest.raises(ValueError, match="max_crash_retries"):
-            SupervisedPool(workers=1, max_crash_retries=-1)
-        with pytest.raises(ValueError, match="one slot per item"):
-            _fast_pool().map(_square, [1, 2], results=[None])
 
 
 class TestCrashRecovery:
@@ -102,7 +105,7 @@ class TestCrashRecovery:
         """The acceptance scenario: one point SIGKILLs its worker; every
         other point completes and the casualty is a structured hole."""
         items = [(i, i == 3) for i in range(8)]
-        outcome = _fast_pool().map(_crash_on, items)
+        outcome = SupervisedPool(2).map(_crash_on, items)
         assert [outcome.results[i] for i in range(8) if i != 3] == \
                [i * i for i in range(8) if i != 3]
         assert outcome.holes == [3]
@@ -117,13 +120,13 @@ class TestCrashRecovery:
         """Tasks co-resident with a crasher are lost with the pool but
         must be transparently re-run, not reported."""
         items = [(i, i == 0) for i in range(6)]
-        outcome = _fast_pool().map(_crash_on, items)
+        outcome = SupervisedPool(2).map(_crash_on, items)
         assert outcome.holes == [0]
         assert sorted(outcome.completed) == [1, 2, 3, 4, 5]
 
     def test_quarantine_rescues_shared_pool_casualty(self):
         items = [(i, i == 2) for i in range(5)]
-        outcome = _fast_pool().map(_crash_unless_isolated, items)
+        outcome = SupervisedPool(2).map(_crash_unless_isolated, items)
         assert outcome.results == [i * i for i in range(5)]
         assert not outcome.failures
         assert outcome.quarantined == 1  # rescued on the isolated retry
@@ -143,32 +146,25 @@ class TestCrashRecovery:
 
         monkeypatch.setattr(pool_mod, "ProcessPoolExecutor",
                             BreaksAtSecondSubmit)
-        outcome = _fast_pool().map(_square, list(range(6)))
+        outcome = SupervisedPool(2).map(_square, list(range(6)))
         assert outcome.results == [x * x for x in range(6)]
         assert outcome.ok and not outcome.failures
         assert outcome.rebuilds == 1
 
-    def test_crash_charges_only_the_task_that_dies_alone(self):
+    def test_crash_charges_only_the_task_that_dies_alone(self, monkeypatch):
         """Innocent neighbours in flight when a worker dies are re-run
-        alone, never charged: with no crash budget to spare and no
-        quarantine, only the crasher becomes a hole."""
+        alone, never charged: with no crash budget to spare, a charged
+        task goes straight to quarantine, and only the crasher does."""
+        monkeypatch.setattr(pool_mod, "MAX_CRASH_RETRIES", 0)
         items = [(i, i == 1) for i in range(6)]
-        outcome = _fast_pool(workers=3, quarantine=False,
-                             max_crash_retries=0).map(
-            _crash_beside_lingerers, items)
+        outcome = SupervisedPool(3).map(_crash_beside_lingerers, items)
         assert outcome.holes == [1]
-        assert outcome.failures[0].kind == "crash"
-        assert outcome.failures[0].attempts == 1
+        assert outcome.failures[0].kind == "poison"
+        assert outcome.failures[0].attempts == 2  # alone, then isolated
+        assert outcome.quarantined == 1
         assert sorted(outcome.completed) == [0, 2, 3, 4, 5]
         assert [outcome.results[i] for i in (0, 2, 3, 4, 5)] == \
                [0, 4, 9, 16, 25]
-
-    def test_quarantine_disabled_reports_crash_kind(self):
-        items = [(i, i == 1) for i in range(4)]
-        outcome = _fast_pool(quarantine=False).map(_crash_on, items)
-        assert outcome.holes == [1]
-        assert outcome.failures[0].kind == "crash"
-        assert outcome.quarantined == 0
 
 
 class TestDeterministicErrors:
@@ -176,7 +172,7 @@ class TestDeterministicErrors:
         """Simulations are deterministic: re-running a raise buys
         nothing, so kind='error' is terminal on the first attempt."""
         items = [(i, i == 2) for i in range(5)]
-        outcome = _fast_pool().map(_raise_on, items)
+        outcome = SupervisedPool(2).map(_raise_on, items)
         assert outcome.holes == [2]
         failure = outcome.failures[0]
         assert failure.kind == "error"
@@ -191,45 +187,29 @@ class TestDeterministicErrors:
 
 
 class TestTimeouts:
-    def test_hung_task_is_killed_and_reported(self):
+    def test_hung_task_is_killed_and_reported(self, monkeypatch):
+        """A task past its deadline is killed and charged like a crash:
+        with no budget to spare it hangs once more in quarantine and
+        becomes a ``poison`` hole; its neighbours complete."""
+        monkeypatch.setattr(pool_mod, "MAX_CRASH_RETRIES", 0)
         items = [(i, i == 1) for i in range(4)]
-        outcome = _fast_pool(task_timeout=1.5, quarantine=False).map(
-            _hang_on, items)
+        outcome = SupervisedPool(2, task_timeout=1.5).map(_hang_on, items)
         assert outcome.holes == [1]
-        assert outcome.failures[0].kind == "timeout"
-        assert "task timeout" in outcome.failures[0].detail
+        failure = outcome.failures[0]
+        assert failure.kind == "poison"
+        assert "task timeout" in failure.detail
+        assert "timed out again in isolation" in failure.detail
         assert [outcome.results[i] for i in (0, 2, 3)] == [0, 4, 9]
-
-
-class TestGracefulStop:
-    def test_should_stop_drains_and_reports_pending(self):
-        stop_after = 3
-        seen = []
-
-        def should_stop():
-            return len(seen) >= stop_after
-
-        def on_result(i, value):
-            seen.append(i)
-
-        outcome = SupervisedPool(workers=1, backoff_base=0.01).map(
-            _square, list(range(10)), on_result=on_result,
-            should_stop=should_stop)
-        assert outcome.interrupted
-        assert len(outcome.completed) >= stop_after
-        assert outcome.pending  # the remainder is resumable work
-        assert sorted(outcome.completed + outcome.pending) == list(range(10))
-        assert not outcome.failures
 
 
 class TestOutcomeContract:
     def test_require_complete_passes_through_when_ok(self):
-        outcome = _fast_pool().map(_square, [1, 2, 3])
+        outcome = SupervisedPool(2).map(_square, [1, 2, 3])
         assert outcome.require_complete() is outcome
 
     def test_require_complete_raises_with_outcome_attached(self):
         items = [(i, i == 0) for i in range(3)]
-        outcome = _fast_pool(quarantine=False).map(_crash_on, items)
+        outcome = SupervisedPool(2).map(_crash_on, items)
         with pytest.raises(SweepError, match="sweep incomplete") as info:
             outcome.require_complete()
         # Completed work rides on the exception — never lost to the raise.
@@ -239,12 +219,10 @@ class TestOutcomeContract:
     def test_summary_mentions_every_anomaly(self):
         outcome = SweepOutcome(total=5, results=[None] * 5)
         outcome.completed = [0, 1]
-        outcome.failures = [TaskFailure(2, "t", "poison", "d", 3)]
-        outcome.pending = [3, 4]
-        outcome.retries, outcome.rebuilds = 4, 2
-        outcome.quarantined, outcome.interrupted = 1, True
+        outcome.failures = [TaskFailure(2, "t", "poison", "d", 3),
+                            TaskFailure(3, "u", "error", "e", 1)]
+        outcome.retries, outcome.rebuilds, outcome.quarantined = 4, 2, 1
         text = outcome.summary()
-        for needle in ("2/5", "1 failed", "poison", "2 pending",
-                       "4 retries", "2 pool rebuilds", "1 quarantined",
-                       "interrupted"):
+        for needle in ("2/5", "2 failed (error, poison)", "4 retries",
+                       "2 pool rebuilds", "1 quarantined"):
             assert needle in text

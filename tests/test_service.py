@@ -5,6 +5,7 @@ layers are driven directly so failures localize.
 """
 
 import asyncio
+import os
 import threading
 
 import pytest
@@ -12,6 +13,7 @@ import pytest
 from repro.experiments._common import measure, measure_key, sweep_key
 from repro.experiments.surface import (PatternPoint, build_surface,
                                        point_cache_key, simulate_point)
+from repro.runtime import pool as pool_mod
 from repro.service import JobFailure, JobQueue, QueueClosed, ResultStore
 from repro.sim.cache import SimCache
 from repro.types import Pattern, RWRatio
@@ -26,6 +28,14 @@ def _point(pattern=Pattern.SCS, burst_len=16, **kw):
 
 def _run(coro):
     return asyncio.run(coro)
+
+
+def _crash_on_burst_4(args):
+    """Kill the worker on burst length 4 (a segfaulting point); simulate
+    every other point.  Module-level, so the pool can pickle it."""
+    if args[0].burst_len == 4:
+        os._exit(137)
+    return simulate_point(args)
 
 
 class TestResultStore:
@@ -242,6 +252,51 @@ class TestJobQueue:
         _run(main())
         assert order[0] == Pattern.SCS
         assert order[1:] == [Pattern.CCRA, Pattern.CCS]
+
+    def test_isolated_point_matches_inline_simulation(self, small_platform):
+        """``isolate=True`` simulates in a one-worker process pool: the
+        report equals the in-process one and is written through."""
+        store = ResultStore(platform=small_platform)
+        queue = JobQueue(store, isolate=True)
+        point = _point(pattern=Pattern.SCRA, burst_len=8)
+
+        async def main():
+            await queue.start()
+            result = await queue.submit(point)
+            await queue.close()
+            return result
+
+        result = _run(main())
+        assert result.source == "simulated"
+        assert result.report == simulate_point((point, small_platform))
+        assert store.get(point) == result.report
+        assert queue.counters.simulated == 1
+
+    def test_isolated_crash_is_poison_and_the_queue_survives(
+            self, small_platform, monkeypatch):
+        """A point that kills its worker becomes a ``poison`` JobFailure
+        after its isolated retry; the next point still resolves."""
+        import repro.service.queue as queue_mod
+        monkeypatch.setattr(queue_mod, "simulate_point", _crash_on_burst_4)
+        monkeypatch.setattr(pool_mod, "BACKOFF_BASE_S", 0.01)
+        store = ResultStore(platform=small_platform)
+        queue = JobQueue(store, isolate=True)
+
+        async def main():
+            await queue.start()
+            with pytest.raises(JobFailure) as info:
+                await queue.submit(_point(burst_len=4))
+            result = await queue.submit(_point(burst_len=16))
+            await queue.close()
+            return info.value, result
+
+        failure, result = _run(main())
+        assert failure.kind == "poison"
+        assert "crashed again in isolation" in failure.detail
+        assert result.source == "simulated"
+        assert store.get(_point(burst_len=4)) is None
+        assert store.get(_point(burst_len=16)) == result.report
+        assert queue.counters.failed == 1 and queue.counters.simulated == 1
 
     def test_inline_timeout_rejects_job(self, small_platform, monkeypatch):
         import repro.service.queue as queue_mod
