@@ -150,9 +150,10 @@ class SweepError(ReproError):
     Raised by :meth:`~repro.runtime.SweepOutcome.require_complete` (so
     by every :func:`~repro.experiments.parallel.parallel_sweep`) when
     the outcome carries task failures: points that raised (``error``)
-    or kept killing or hanging their worker (``poison``).  The outcome
-    — including every result that *did* complete — is attached as
-    ``outcome``, so nothing already computed is lost to the raise.
+    or kept killing their worker (``poison``).  The outcome — including
+    every result that *did* complete, with ``None`` in the holes — is
+    attached as ``outcome``, so nothing already computed is lost to the
+    raise and a caller that degrades reads its partial results there.
     """
 
     def __init__(self, message: str, outcome=None) -> None:

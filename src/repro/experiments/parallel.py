@@ -2,24 +2,26 @@
 
 Every sweep in the harness is embarrassingly parallel — each point builds
 its own fabric and traffic and shares no state — so they scale linearly
-over worker processes.  :func:`parallel_sweep` maps a *module-level*
-function over the sweep points on the supervised runtime
-(:class:`repro.runtime.SupervisedPool`) while preserving input order;
-with ``workers <= 1`` (or in an environment where forking is
-undesirable) it degrades to a plain loop, so callers need no fallback
-logic.
+over worker processes.  :func:`parallel_sweep`, the one sweep entry
+point, maps a *module-level* function over the sweep points on the
+supervised runtime (:class:`repro.runtime.SupervisedPool`) while
+preserving input order; with ``workers <= 1`` (or in an environment
+where forking is undesirable) it degrades to a plain loop, so callers
+need no fallback logic.
 
-Crash safety, on top of the old contract:
+Crash safety:
 
 * every finished point is checkpointed the moment it completes — the
   ``cache.put`` happens per-completion in the parent, never deferred to
   the end of the sweep, so a crash at point 99/100 loses at most the
   points still in flight;
-* a worker killed mid-run (OOM, SIGKILL) no longer aborts the sweep
-  with ``BrokenProcessPool``: the pool is rebuilt, lost tasks are
-  retried with backoff, and a task that keeps killing workers is
-  quarantined and reported as a structured
-  :class:`~repro.runtime.TaskFailure`.
+* a worker killed mid-run (OOM, SIGKILL) does not abort the sweep with
+  ``BrokenProcessPool``: the pool is rebuilt, lost tasks are retried
+  with backoff, and a task that keeps killing workers is quarantined
+  and reported as a structured :class:`~repro.runtime.TaskFailure`;
+* a sweep with holes raises :class:`~repro.errors.SweepError` once every
+  other point has finished, and its ``outcome`` holds every completed
+  result.
 
 The result store (the ``cache``, spilled to ``REPRO_SIM_CACHE_DIR``) is
 the sweep's only resume record: re-running an interrupted sweep command
@@ -59,30 +61,34 @@ def default_workers() -> int:
     return max(1, min(8, os.cpu_count() or 1))
 
 
-def supervised_sweep(
+def parallel_sweep(
     fn: Callable[[T], R],
     items: Sequence[T],
     workers: Optional[int] = None,
     *,
     cache=None,
     key_fn: Optional[Callable[[T], tuple]] = None,
-    task_timeout: Optional[float] = None,
-    force_pool: bool = False,
-) -> SweepOutcome:
-    """Map ``fn`` over ``items`` under full supervision.
+) -> List[R]:
+    """Map ``fn`` over ``items``, optionally across processes.
 
-    The most general entry point: returns the complete
-    :class:`~repro.runtime.SweepOutcome` (ordered results, structured
-    failures, retry/rebuild accounting) instead of a bare list.  Cached
-    points are satisfied in the parent, and everything else is
-    dispatched to a :class:`~repro.runtime.SupervisedPool` (or run
-    inline for ``workers <= 1``, where per-task timeouts cannot
-    preempt).
+    Results come back in input order.  ``workers=None`` uses
+    :func:`default_workers`; ``workers<=1`` or a single point left to
+    run runs inline.
 
-    ``force_pool=True`` dispatches to the pool even for a single point —
-    the sweep service uses this to give *individual* jobs crash
-    isolation and preemptive timeouts, which the inline path cannot
-    provide.
+    With ``cache`` (a :class:`~repro.sim.cache.SimCache`) and ``key_fn``
+    (item -> cache key), cached points are satisfied in the parent
+    process and only the misses are dispatched to the pool; each fresh
+    result is stored back under its key *the moment it completes*, so a
+    crash mid-sweep never discards already-computed points.  This keeps
+    memoization effective across process-pool sweeps, where worker-local
+    caches die with the workers.
+
+    Runs on the supervised runtime: worker death surfaces as a
+    structured hole, not ``BrokenProcessPool``.  An incomplete sweep
+    raises :class:`~repro.errors.SweepError` carrying the
+    :class:`~repro.runtime.SweepOutcome`, whose results keep every
+    completed point and ``None`` in the holes, for a caller that
+    degrades.
     """
     n = default_workers() if workers is None else workers
     items = list(items)
@@ -105,12 +111,9 @@ def supervised_sweep(
         if keys is not None:
             cache.put(keys[i], value)
 
-    if not todo:
-        return outcome
-
-    if not force_pool and (n <= 1 or len(todo) <= 1):
+    if n <= 1 or len(todo) <= 1:
         # Inline path: the same streaming checkpoint, no subprocesses
-        # (and therefore no preemptive timeouts or crash isolation).
+        # (and therefore no crash isolation).
         for i in todo:
             try:
                 value = fn(items[i])
@@ -122,42 +125,7 @@ def supervised_sweep(
             outcome.results[i] = value
             outcome.completed.append(i)
             on_result(i, value)
-        return outcome
-
-    pool = SupervisedPool(workers=min(n, len(todo)),
-                          task_timeout=task_timeout)
-    return pool.map(fn, items, indices=todo, outcome=outcome,
-                    on_result=on_result)
-
-
-def parallel_sweep(
-    fn: Callable[[T], R],
-    items: Sequence[T],
-    workers: Optional[int] = None,
-    *,
-    cache=None,
-    key_fn: Optional[Callable[[T], tuple]] = None,
-) -> List[R]:
-    """Map ``fn`` over ``items``, optionally across processes.
-
-    Results come back in input order.  ``workers=None`` uses
-    :func:`default_workers`; ``workers<=1`` or a single item runs inline.
-
-    With ``cache`` (a :class:`~repro.sim.cache.SimCache`) and ``key_fn``
-    (item -> cache key), cached points are satisfied in the parent
-    process and only the misses are dispatched to the pool; each fresh
-    result is stored back under its key *the moment it completes*, so a
-    crash mid-sweep never discards already-computed points.  This keeps
-    memoization effective across process-pool sweeps, where worker-local
-    caches die with the workers.
-
-    Runs on the supervised runtime: worker death and hangs surface as
-    structured holes, not ``BrokenProcessPool``.  An incomplete sweep
-    raises :class:`~repro.errors.SweepError` carrying the partial
-    :class:`~repro.runtime.SweepOutcome`; a caller that degrades instead
-    calls :func:`supervised_sweep`, whose outcome keeps ``None`` in the
-    holes.
-    """
-    outcome = supervised_sweep(fn, items, workers, cache=cache,
-                               key_fn=key_fn)
+    else:
+        SupervisedPool(workers=min(n, len(todo))).map(
+            fn, items, indices=todo, outcome=outcome, on_result=on_result)
     return outcome.require_complete().results  # type: ignore[return-value]

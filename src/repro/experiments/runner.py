@@ -106,12 +106,11 @@ def _cmd_cache(args) -> tuple:
 
 
 def _cmd_serve(args) -> int:
-    """Sweep-service front end: build the store (and optionally the
+    """Sweep-service front end: open the store (and optionally build the
     precomputed surface), then serve until interrupted."""
-    from ..service import ResultStore
     from ..service.http import run_server
-    store = ResultStore(directory=args.store_dir,
-                        max_memory_entries=args.mem_entries)
+    from ..sim.cache import SimCache
+    cache = SimCache(args.store_dir, max_memory_entries=args.mem_entries)
     surface = None
     if not args.no_surface:
         from .surface import build_surface
@@ -119,11 +118,11 @@ def _cmd_serve(args) -> int:
               f"workers={args.workers}) ...", flush=True)
         start = time.perf_counter()  # det-lint: allow (display only)
         surface = build_surface(cycles=args.cycles, workers=args.workers,
-                                cache=store.cache)
+                                cache=cache)
         elapsed = time.perf_counter() - start  # det-lint: allow
         print(f"surface ready: {len(surface)} samples ({elapsed:.1f}s)",
               flush=True)
-    run_server(args.host, args.port, store=store, surface=surface,
+    run_server(args.host, args.port, cache=cache, surface=surface,
                workers=args.queue_workers, default_cycles=args.cycles,
                task_timeout=args.task_timeout, isolate=args.isolate)
     return 0
@@ -406,11 +405,15 @@ def main(argv: Optional[List[str]] = None) -> int:
                          help="concurrent simulation jobs in the serving "
                               "queue")
     p_serve.add_argument("--task-timeout", type=float, default=None,
-                         help="per-job timeout in seconds")
+                         help="per-job timeout in seconds: a job past it "
+                              "fails as 'timeout' (with --isolate its "
+                              "worker process is killed; without, the "
+                              "simulation finishes in the background)")
     p_serve.add_argument("--isolate", action="store_true",
-                         help="run each queued simulation in a supervised "
-                              "worker process (crash isolation + "
-                              "preemptive timeouts)")
+                         help="run each queued simulation once in a fresh "
+                              "worker process, so a crashing point fails "
+                              "as 'crash' instead of taking the server "
+                              "down")
     for name, helptext in (("estimate", "analytical bandwidth estimate"),
                            ("advise", "check a design against the guidelines")):
         p = sub.add_parser(name, help=helptext)

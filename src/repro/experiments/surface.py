@@ -78,9 +78,10 @@ def simulate_point(args):
     ``args`` is ``(point, platform)`` — a single picklable tuple, so this
     function can run inline, on the supervised pool, or in an isolation
     worker unchanged.  Deliberately does *not* pass a ``cache_key`` to
-    :func:`measure`: the caller's sweep layer owns the authoritative
-    store write (one write, in the parent, the moment the result lands),
-    and a worker-local ``DEFAULT_CACHE`` write would be dead weight.
+    :func:`measure`: the caller (a sweep or the service's job queue) owns
+    the authoritative store write (one write, in the parent, the moment
+    the result lands), and a worker-local ``DEFAULT_CACHE`` write would
+    be dead weight.
     """
     point, platform = args
     fab = make_fabric(point.fabric, platform)
@@ -137,10 +138,6 @@ class SweepSurface:
 
     def __len__(self) -> int:
         return sum(len(c) for c in self._curves.values())
-
-    def exact(self, point: PatternPoint) -> Optional[SurfaceSample]:
-        """The precomputed sample at exactly ``point``, if any."""
-        return self._curves.get(_axis_key(point), {}).get(point.burst_len)
 
     def lookup(self, point: PatternPoint) -> Optional[SurfaceValue]:
         """Exact sample, or log2-linear interpolation along burst length.

@@ -4,9 +4,11 @@ The simulator itself became fault-tolerant in :mod:`repro.faults`; this
 package makes the *harness that runs it* fault-tolerant:
 
 * :mod:`repro.runtime.pool` — :class:`SupervisedPool`, a process pool
-  with per-task timeouts, ``BrokenProcessPool`` recovery, retry with
-  capped exponential backoff, poison-task quarantine, and structured
-  :class:`TaskFailure`/:class:`SweepOutcome` reporting,
+  with ``BrokenProcessPool`` recovery, retry with capped exponential
+  backoff, poison-task quarantine, and structured
+  :class:`TaskFailure`/:class:`SweepOutcome` reporting; and
+  :func:`run_isolated`, one call in a fresh single-worker process
+  under an optional timeout,
 * :mod:`repro.runtime.journal` — :class:`RunJournal`, the durable
   append-only JSONL progress record that makes an interrupted
   ``repro-hbm fuzz`` campaign exactly resumable,
@@ -16,7 +18,8 @@ package makes the *harness that runs it* fault-tolerant:
 
 The experiment sweeps (:func:`repro.experiments.parallel
 .parallel_sweep`), the chaos suite, and ``repro-hbm fuzz`` all run on
-this substrate.  A sweep resumes from its result store
+this substrate, and ``repro-hbm serve --isolate`` runs each job through
+:func:`run_isolated`.  A sweep resumes from its result store
 (``REPRO_SIM_CACHE_DIR``), not from a journal: every finished point is
 spilled there the moment it completes.
 """
@@ -24,11 +27,12 @@ spilled there the moment it completes.
 from __future__ import annotations
 
 from .journal import JOURNAL_VERSION, JournalState, RunJournal, load_journal
-from .pool import ISOLATED_ENV, SupervisedPool, SweepOutcome, TaskFailure
+from .pool import (ISOLATED_ENV, SupervisedPool, SweepOutcome, TaskFailure,
+                   run_isolated)
 from .signals import GracefulShutdown
 
 __all__ = [
     "JOURNAL_VERSION", "JournalState", "RunJournal", "load_journal",
     "ISOLATED_ENV", "SupervisedPool", "SweepOutcome", "TaskFailure",
-    "GracefulShutdown",
+    "run_isolated", "GracefulShutdown",
 ]

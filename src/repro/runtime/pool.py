@@ -6,24 +6,20 @@ and every other in-flight and queued task — hours of sweep work — is
 gone.  :class:`SupervisedPool` replaces that with a dispatch loop built
 on ``submit`` + bounded in-flight windows that
 
-* enforces a per-task wall-clock **timeout** (a hung simulation cannot
-  stall the whole sweep; the pool is rebuilt and the stuck task
-  charged),
-* survives **worker death** (``BrokenProcessPool`` or a timeout kill):
-  the pool is rebuilt with capped-exponential backoff and the tasks
-  that were in flight are retried,
+* survives **worker death** (``BrokenProcessPool``): the pool is
+  rebuilt with capped-exponential backoff and the tasks that were in
+  flight are retried,
 * attributes a worker death **exactly**: a task is charged only when it
   kills its worker while running alone.  When a death leaves several
   suspects, none is charged; each is re-run alone, then the full
   window resumes, so an innocent neighbour of a crasher never uses up
   its crash budget,
 * quarantines **poison tasks**: a task charged ``MAX_CRASH_RETRIES + 1``
-  times (worker deaths or timeouts) is retried once in an isolated
-  single-task subprocess (which also rescues a task that only dies in
-  shared pools) and, if it still fails, reported as a structured
-  :class:`TaskFailure` instead of aborting the sweep — partial results
-  with explicit holes, mirroring the NACK-and-degrade philosophy of
-  :mod:`repro.faults`.
+  times is retried once through :func:`run_isolated` (which also
+  rescues a task that only dies in shared pools) and, if it still
+  fails, reported as a structured :class:`TaskFailure` instead of
+  aborting the sweep — partial results with explicit holes, mirroring
+  the NACK-and-degrade philosophy of :mod:`repro.faults`.
 
 Everything lands in a :class:`SweepOutcome`: ordered results, the set of
 holes, and the supervision accounting (retries, pool rebuilds,
@@ -31,11 +27,17 @@ quarantines).  Since simulations are deterministic, an *ordinary*
 exception from the task function is reported immediately as a
 ``TaskFailure(kind="error")`` without retries — re-running a
 deterministic failure buys nothing; retry is reserved for tasks lost to
-worker death, which says nothing about the task itself.
+worker death, which says nothing about the task itself.  The pool has
+no task timeout: a sweep task that hangs holds its worker.
 
-Ordinary wall-clock reads below are supervision plumbing (timeouts,
-backoff), not simulated behaviour — simulation results stay a pure
-function of their configuration regardless of scheduling.
+:func:`run_isolated` runs one call in a fresh single-worker process,
+optionally under a wall-clock timeout; the sweep service runs each job
+of ``repro-hbm serve --isolate`` through it.
+
+The wall-clock reads below (the rebuild backoff, the isolated run's
+timeout) are supervision plumbing, not simulated behaviour — simulation
+results stay a pure function of their configuration regardless of
+scheduling.
 """
 
 from __future__ import annotations
@@ -51,12 +53,11 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import SweepError
 
-#: Environment marker set inside quarantine workers, so a task (or a
-#: test) can tell it is running in the isolated retry.
+#: Environment marker set inside the worker of :func:`run_isolated`, so
+#: a task (or a test) can tell it is running isolated.
 ISOLATED_ENV = "REPRO_ISOLATED_TASK"
 
-#: Worker deaths (or timeouts) a task may be charged with before its
-#: isolated retry.
+#: Worker deaths a task may be charged with before its isolated retry.
 MAX_CRASH_RETRIES = 2
 
 #: Pause before the n-th pool rebuild: ``BACKOFF_BASE_S * 2**(n-1)``
@@ -71,8 +72,54 @@ def _describe(item: Any, limit: int = 120) -> str:
 
 
 def _mark_isolated() -> None:
-    """Initializer of the quarantine pool (module-level: picklable)."""
+    """Initializer of the isolated pool (module-level: picklable)."""
     os.environ[ISOLATED_ENV] = "1"
+
+
+def _kill_pool(pool: Optional[ProcessPoolExecutor]) -> None:
+    """Hard-stop a pool: SIGKILL its workers, discard the executor.
+
+    Not SIGTERM: a forked worker inherits its parent's signal handlers
+    and signal wakeup fd.  Under ``repro-hbm serve`` those are the event
+    loop's, so a terminated worker would ignore the signal and pass it
+    to the server's loop through the shared fd, as a shutdown request.
+    """
+    if pool is None:
+        return
+    for proc in list(getattr(pool, "_processes", {}).values()):
+        try:
+            proc.kill()
+        except OSError:  # pragma: no cover — already dead
+            pass
+    try:
+        pool.shutdown(wait=False, cancel_futures=True)
+    except Exception:  # pragma: no cover — broken pools may raise
+        pass
+
+
+def run_isolated(fn: Callable[[Any], Any], item: Any,
+                 timeout: Optional[float] = None) -> Tuple[Optional[str], Any]:
+    """Run ``fn(item)`` once in a fresh single-worker process.
+
+    The worker sees ``REPRO_ISOLATED_TASK=1`` and is killed when the call
+    returns, so a hang past ``timeout`` seconds (``None``: no limit)
+    holds nothing.  Returns ``(None, value)`` on success and
+    ``(kind, detail)`` on failure, ``kind`` being ``crash`` (the worker
+    died), ``timeout`` or ``error`` (``fn`` raised).
+    """
+    pool = ProcessPoolExecutor(max_workers=1, initializer=_mark_isolated)
+    try:
+        future = pool.submit(fn, item)
+        try:
+            return None, future.result(timeout=timeout)
+        except BrokenProcessPool:
+            return "crash", "the worker process died"
+        except FuturesTimeoutError:
+            return "timeout", f"exceeded the {timeout}s task timeout"
+        except Exception as exc:  # noqa: BLE001 — reported, not raised
+            return "error", f"{type(exc).__name__}: {exc}"
+    finally:
+        _kill_pool(pool)
 
 
 @dataclass(frozen=True)
@@ -87,8 +134,7 @@ class TaskFailure:
 
     kind: str
     """``error`` (the task function raised) or ``poison`` (the task kept
-    killing its worker or overrunning the task timeout, and failed its
-    isolated retry too)."""
+    killing its worker and failed its isolated retry too)."""
 
     detail: str
     attempts: int = 1
@@ -149,56 +195,13 @@ class SupervisedPool:
     """Crash-supervised process-pool mapper (see module docstring).
 
     ``workers`` fixes both the pool size and the in-flight window: at
-    most ``workers`` tasks are submitted at a time, so the per-task
-    timeout clock starts ticking approximately when the task starts
-    executing.
+    most ``workers`` tasks are submitted at a time.
     """
 
-    def __init__(self, workers: int, *,
-                 task_timeout: Optional[float] = None) -> None:
+    def __init__(self, workers: int) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.workers = workers
-        self.task_timeout = task_timeout
-
-    # -- pool lifecycle ------------------------------------------------------
-
-    def _kill_pool(self, pool: Optional[ProcessPoolExecutor]) -> None:
-        """Hard-stop a pool: terminate workers, discard the executor."""
-        if pool is None:
-            return
-        for proc in list(getattr(pool, "_processes", {}).values()):
-            try:
-                proc.terminate()
-            except OSError:  # pragma: no cover — already dead
-                pass
-        try:
-            pool.shutdown(wait=False, cancel_futures=True)
-        except Exception:  # pragma: no cover — broken pools may raise
-            pass
-
-    def _run_isolated(self, fn: Callable[[Any], Any], item: Any,
-                      ) -> Tuple[bool, Any]:
-        """One isolated retry in a dedicated single-task pool.
-
-        Returns ``(True, value)`` on success, ``(False, detail)`` on any
-        failure (crash, timeout, or exception)."""
-        pool = ProcessPoolExecutor(max_workers=1, initializer=_mark_isolated)
-        try:
-            future = pool.submit(fn, item)
-            try:
-                value = future.result(timeout=self.task_timeout)
-            except BrokenProcessPool:
-                return False, "crashed again in isolation"
-            except FuturesTimeoutError:
-                return False, (f"timed out again in isolation "
-                               f"(> {self.task_timeout}s)")
-            except Exception as exc:  # noqa: BLE001 — reported, not raised
-                return False, f"raised in isolation: " \
-                              f"{type(exc).__name__}: {exc}"
-            return True, value
-        finally:
-            self._kill_pool(pool)
 
     # -- the supervised map --------------------------------------------------
 
@@ -229,11 +232,9 @@ class SupervisedPool:
         # stays set until the last of them has finished.
         solo: Deque[int] = deque()
         isolating = False
-        crashes: Dict[int, int] = {}     # index -> pool-fatal attempts
-        fail_kind: Dict[int, str] = {}   # index -> "crash" | "timeout"
+        crashes: Dict[int, int] = {}     # index -> worker deaths charged
         pool: Optional[ProcessPoolExecutor] = None
         inflight: Dict[Any, int] = {}    # Future -> index
-        deadlines: Dict[Any, float] = {}  # Future -> monotonic deadline
 
         def record_result(i: int, value: Any) -> None:
             outcome.results[i] = value
@@ -251,55 +252,44 @@ class SupervisedPool:
             """A task whose crash budget is exhausted: one isolated
             retry, and a ``poison`` hole if that fails too."""
             attempts = crashes[i]
-            history = (f"lost to {attempts} worker death(s)"
-                       if fail_kind[i] == "crash"
-                       else f"exceeded the {self.task_timeout}s task "
-                            f"timeout {attempts} time(s)")
             outcome.quarantined += 1
             outcome.retries += 1
-            ok, payload = self._run_isolated(fn, items[i])
-            if ok:
+            kind, payload = run_isolated(fn, items[i])
+            if kind is None:
                 record_result(i, payload)
             else:
-                record_failure(i, "poison", f"{history}; {payload}",
+                record_failure(i, "poison",
+                               f"lost to {attempts} worker death(s); its "
+                               f"isolated retry failed ({kind}): {payload}",
                                attempts=attempts + 1)
 
-        def recover_lost(lost: List[int], offenders: Sequence[int],
-                         into: Deque[int]) -> None:
-            """Pool died (crash or timeout kill) with ``lost`` in flight:
-            rebuild it and requeue them at the front of ``into``, charging
-            the crash budget of the ``offenders`` only."""
-            nonlocal pool
+        def recover_death(suspects: List[int]) -> None:
+            """A worker died with ``suspects`` in flight: rebuild the pool
+            and requeue them at the front, so recovery precedes fresh
+            dispatch.  A task that died alone is the culprit and is
+            charged.  With company, nobody is charged: every suspect is
+            re-run alone instead."""
+            nonlocal pool, isolating
             inflight.clear()
-            deadlines.clear()
-            self._kill_pool(pool)
+            _kill_pool(pool)
             pool = None
             outcome.rebuilds += 1
-            for i in offenders:
-                crashes[i] = crashes.get(i, 0) + 1
-            outcome.retries += len(lost)
-            # Requeue at the front so recovery precedes fresh dispatch;
-            # suspects whose budget is exhausted are intercepted at
+            outcome.retries += len(suspects)
+            into = queue
+            if len(suspects) > 1:
+                isolating = True
+                into = solo
+            else:
+                for i in suspects:
+                    crashes[i] = crashes.get(i, 0) + 1
+            # A suspect whose budget is exhausted is intercepted at
             # dispatch time by quarantine().
-            for i in sorted(lost, reverse=True):
+            for i in sorted(suspects, reverse=True):
                 into.appendleft(i)
             backoff = min(BACKOFF_CAP_S,
                           BACKOFF_BASE_S * (2 ** (outcome.rebuilds - 1)))
             if backoff > 0:
                 time.sleep(backoff)
-
-        def recover_death(suspects: List[int]) -> None:
-            """A worker died with ``suspects`` in flight.  A task that
-            died alone is the culprit and is charged.  With company,
-            nobody is charged: every suspect is re-run alone instead."""
-            nonlocal isolating
-            if len(suspects) > 1:
-                isolating = True
-                recover_lost(suspects, (), solo)
-                return
-            for i in suspects:
-                fail_kind.setdefault(i, "crash")
-            recover_lost(suspects, suspects, queue)
 
         try:
             while queue or solo or inflight:
@@ -331,26 +321,15 @@ class SupervisedPool:
                         recover_death(sorted(inflight.values()))
                         continue
                     inflight[future] = i
-                    if self.task_timeout is not None:
-                        deadlines[future] = (
-                            time.monotonic()  # det-lint: allow
-                            + self.task_timeout)
                 if not inflight:
                     continue
-                # -- wait ----------------------------------------------------
-                # Until a task completes (a worker death completes every
-                # task in flight) or the nearest task deadline passes.
-                timeout = None
-                if deadlines:
-                    timeout = max(0.0, min(deadlines.values())
-                                  - time.monotonic())  # det-lint: allow
-                done, _ = wait(set(inflight), timeout=timeout,
-                               return_when=FIRST_COMPLETED)
+                # -- wait: until a task completes (a worker death
+                # completes every task in flight) -------------------------
+                done, _ = wait(set(inflight), return_when=FIRST_COMPLETED)
                 # -- completions ---------------------------------------------
                 crashed: List[int] = []
                 for future in done:
                     i = inflight.pop(future)
-                    deadlines.pop(future, None)
                     try:
                         value = future.result()
                     except BrokenProcessPool:
@@ -365,18 +344,6 @@ class SupervisedPool:
                     # Worker death takes every in-flight task with it;
                     # all of them were at the scene, all are suspects.
                     recover_death(sorted(crashed + list(inflight.values())))
-                    continue
-                # -- timeouts ------------------------------------------------
-                now = time.monotonic()  # det-lint: allow
-                expired = [f for f, dl in deadlines.items() if dl <= now]
-                if expired:
-                    # The expired tasks are known exactly: only they are
-                    # charged, the rest of the window is requeued.
-                    offenders = sorted(inflight[f] for f in expired)
-                    for i in offenders:
-                        fail_kind[i] = "timeout"
-                    recover_lost(sorted(inflight.values()), offenders,
-                                 queue)
         finally:
-            self._kill_pool(pool)
+            _kill_pool(pool)
         return outcome

@@ -1,20 +1,22 @@
-"""Long-lived sweep service: shared result store, dedup'ing job queue,
-and an HTTP serving tier for estimate / advise / sweep queries.
+"""Long-lived sweep service: dedup'ing job queue and an HTTP serving
+tier for estimate / advise / sweep queries, over the shared result store.
 
 The batch experiments regenerate the paper's figures; this package
-serves the same numbers *on demand*.  Three layers, each usable alone:
+serves the same numbers *on demand*.  Two layers, each usable alone,
+over the :class:`~repro.sim.cache.SimCache` the batch sweeps spill to
+(one directory shared across processes, entries named by their
+:func:`~repro.sim.cache.entry_digest`):
 
-* :class:`~repro.service.store.ResultStore` — a content-addressed,
-  point-typed view of the :class:`~repro.sim.cache.SimCache`, shareable
-  across processes through one spill directory,
-* :class:`~repro.service.queue.JobQueue` — an asyncio queue that
-  deduplicates concurrent identical requests into one supervised
-  simulation and writes every result through to the store,
+* :class:`~repro.service.queue.JobQueue` — an asyncio queue that owns
+  the cache and the platform, deduplicates concurrent identical
+  requests into one simulation and writes every result through to the
+  cache,
 * :class:`~repro.service.http.SweepService` /
   :class:`~repro.service.http.ServiceServer` — a stdlib HTTP front end
-  answering warm queries in sub-millisecond time from the store or the
-  precomputed :class:`~repro.experiments.surface.SweepSurface`, and
-  falling back to the queue for cold points.
+  that builds a point's store key once per request and answers warm
+  queries in sub-millisecond time from the cache or the precomputed
+  :class:`~repro.experiments.surface.SweepSurface`, falling back to the
+  queue for cold points.
 
 Start one with ``repro-hbm serve``; talk to it with
 :class:`~repro.service.client.ServiceClient`.
@@ -24,10 +26,8 @@ from importlib import import_module
 from typing import Any
 
 #: Public name -> submodule defining it.  Names resolve on first use
-#: (PEP 562), so importing the client loads no server, queue or store.
+#: (PEP 562), so importing the client loads no server or queue.
 _EXPORTS = {
-    "ResultStore": "store",
-    "entry_digest": "store",
     "JobFailure": "queue",
     "JobQueue": "queue",
     "JobResult": "queue",

@@ -53,11 +53,11 @@ from ..core.guidelines import (DesignDescription, evaluate_guidelines,
 from ..errors import ConfigError, ReproError
 from ..experiments._common import DEFAULT_CYCLES
 from ..experiments.surface import (PatternPoint, SweepSurface,
-                                   sample_from_report)
+                                   point_cache_key, sample_from_report)
+from ..sim.cache import MISS, SimCache, entry_digest
 from ..telemetry.manifest import service_manifest
 from ..types import FabricKind, Pattern, RWRatio
 from .queue import JobFailure, JobQueue, QueueClosed
-from .store import ResultStore
 
 #: Service protocol version (the ``/v1/`` path segment).
 SERVICE_API_VERSION = 1
@@ -144,16 +144,19 @@ class SweepService:
 
     Split from the socket loop so tests can drive handlers directly
     (awaiting :meth:`handle`) and the HTTP framing stays a dumb shell.
+    The result cache and the platform are the queue's, so a stored
+    answer and a simulated one are keyed alike.
     """
 
-    def __init__(self, store: ResultStore, queue: JobQueue, *,
+    def __init__(self, queue: JobQueue, *,
                  surface: Optional[SweepSurface] = None,
                  default_cycles: int = DEFAULT_CYCLES) -> None:
-        self.store = store
         self.queue = queue
+        self.cache = queue.cache
+        self.platform = queue.platform
         self.surface = surface
         self.default_cycles = default_cycles
-        self.estimator = BandwidthEstimator(store.platform)
+        self.estimator = BandwidthEstimator(self.platform)
         #: Counted by the :class:`ServiceServer` in front of this service.
         self.http = HttpCounters()
 
@@ -181,7 +184,7 @@ class SweepService:
             },
             "source": "analytic",
             "manifest": service_manifest(
-                "estimate", self.store.platform, source="analytic",
+                "estimate", self.platform, source="analytic",
                 inputs=_point_inputs(point)),
         }
 
@@ -191,7 +194,7 @@ class SweepService:
             DesignDescription(rw=point.rw, burst_len=point.burst_len,
                               outstanding=point.outstanding,
                               pattern=point.pattern, fabric=point.fabric),
-            self.store.platform)
+            self.platform)
         return 200, {
             "result": {
                 "findings": [{"rule": g.rule, "severity": g.severity.value,
@@ -200,12 +203,12 @@ class SweepService:
             },
             "source": "analytic",
             "manifest": service_manifest(
-                "advise", self.store.platform, source="analytic",
+                "advise", self.platform, source="analytic",
                 inputs=_point_inputs(point)),
         }
 
     def _report_body(self, point: PatternPoint, report) -> Dict[str, Any]:
-        sample = sample_from_report(point, report, self.store.platform)
+        sample = sample_from_report(point, report, self.platform)
         return {"total_gbps": sample.total_gbps,
                 "read_gbps": sample.read_gbps,
                 "write_gbps": sample.write_gbps,
@@ -215,17 +218,17 @@ class SweepService:
         point = _parse_point(params, default_cycles=self.default_cycles)
         wait = params.get("wait", "1") not in ("0", "false", "no")
         inputs = _point_inputs(point)
-        digest = self.store.digest_for(point)
+        key = point_cache_key(point, self.platform)
 
         # Fast path 1: the shared result store.
-        report = self.store.get(point)
-        if report is not None:
+        report = self.cache.lookup(key)
+        if report is not MISS:
             return 200, {
                 "result": self._report_body(point, report),
                 "source": "store",
                 "manifest": service_manifest(
-                    "sweep", self.store.platform, source="store",
-                    inputs=inputs, entry=digest),
+                    "sweep", self.platform, source="store",
+                    inputs=inputs, entry=entry_digest(key)),
             }
         # Fast path 2: the precomputed surface (exact or interpolated).
         if self.surface is not None:
@@ -243,7 +246,7 @@ class SweepService:
                         "upper_gbps": value.upper.total_gbps,
                     },
                     "manifest": service_manifest(
-                        "sweep", self.store.platform, source="interpolated",
+                        "sweep", self.platform, source="interpolated",
                         inputs=inputs),
                 }
             if value is not None:
@@ -251,17 +254,17 @@ class SweepService:
                     "result": {"total_gbps": value.total_gbps},
                     "source": "surface",
                     "manifest": service_manifest(
-                        "sweep", self.store.platform, source="surface",
+                        "sweep", self.platform, source="surface",
                         inputs=inputs),
                 }
         # Slow path: a real simulation through the dedup'ing queue.
         if not wait:
-            self.queue.enqueue_nowait(point)
+            digest = self.queue.enqueue_nowait(point)
             return 202, {
                 "status": "pending",
                 "entry": digest,
                 "manifest": service_manifest(
-                    "sweep", self.store.platform, source="pending",
+                    "sweep", self.platform, source="pending",
                     inputs=inputs, entry=digest),
             }
         job = await self.queue.submit(point)
@@ -269,12 +272,12 @@ class SweepService:
             "result": self._report_body(point, job.report),
             "source": job.source,
             "manifest": service_manifest(
-                "sweep", self.store.platform, source=job.source,
+                "sweep", self.platform, source=job.source,
                 inputs=inputs, entry=job.digest),
         }
 
     def _stats(self, params: Dict[str, str]) -> Tuple[int, Dict]:
-        stats = self.store.stats()
+        stats = self.cache.stats()
         return 200, {
             "queue": self.queue.counters.as_dict(),
             "inflight": self.queue.pending(),
@@ -283,15 +286,15 @@ class SweepService:
                 "entries": stats.entries,
                 "total_bytes": stats.total_bytes,
                 "orphan_tmp_files": stats.orphan_tmp_files,
-                "memory_entries": self.store.cache.memory_entries(),
-                "max_memory_entries": self.store.cache.max_memory_entries,
-                "hits": self.store.cache.hits,
-                "misses": self.store.cache.misses,
+                "memory_entries": self.cache.memory_entries(),
+                "max_memory_entries": self.cache.max_memory_entries,
+                "hits": self.cache.hits,
+                "misses": self.cache.misses,
             },
             "surface_samples": len(self.surface) if self.surface else 0,
             "http": self.http.as_dict(),
             "manifest": service_manifest(
-                "stats", self.store.platform, source="analytic"),
+                "stats", self.platform, source="analytic"),
         }
 
     # -- dispatch ----------------------------------------------------------
@@ -458,7 +461,7 @@ class ServiceServer:
 
 
 def run_server(host: str = "127.0.0.1", port: int = 8321, *,
-               store: Optional[ResultStore] = None,
+               cache: Optional[SimCache] = None,
                surface: Optional[SweepSurface] = None,
                workers: int = 1, default_cycles: int = DEFAULT_CYCLES,
                task_timeout: Optional[float] = None,
@@ -476,10 +479,10 @@ def run_server(host: str = "127.0.0.1", port: int = 8321, *,
     method) is signalled once the socket is bound — the CI smoke test
     and the background-thread test harness key off it.
     """
-    store = store if store is not None else ResultStore()
-    queue = JobQueue(store, workers=workers, task_timeout=task_timeout,
+    queue = JobQueue(cache if cache is not None else SimCache(),
+                     workers=workers, task_timeout=task_timeout,
                      isolate=isolate)
-    service = SweepService(store, queue, surface=surface,
+    service = SweepService(queue, surface=surface,
                            default_cycles=default_cycles)
     server = ServiceServer(service, host, port)
 

@@ -7,20 +7,20 @@ of importance:
 1. **Dedup by content address.**  Two concurrent requests for the same
    :class:`~repro.experiments.surface.PatternPoint` share one in-flight
    simulation — the second ``submit`` awaits the first's future instead
-   of enqueueing.  The identity is the store digest, i.e. the same
-   content address as the cache entry, so "in flight" and "already
-   stored" can never disagree about what a point *is*.
-2. **Structured failure.**  Jobs run through
-   :func:`~repro.experiments.parallel.supervised_sweep` (optionally on a
-   one-worker :class:`~repro.runtime.SupervisedPool` for crash
-   isolation), so a crashing or hanging simulation surfaces as a typed
-   :class:`JobFailure` carrying the
-   :class:`~repro.runtime.TaskFailure` kind/detail — never a dead
-   server or a silently dropped request.
-3. **Store write-through.**  The sweep layer writes each result to the
-   shared :class:`~repro.service.store.ResultStore` the moment it lands
-   (same streaming-checkpoint path batch sweeps use), so a result
-   computed for one client is a store hit for every later one.
+   of enqueueing.  The identity is the entry digest
+   (:func:`~repro.sim.cache.entry_digest` of the point's store key), the
+   same content address that names the stored result, so "in flight"
+   and "already stored" can never disagree about what a point *is*.
+2. **Structured failure.**  A job that raises, crashes its isolated
+   worker or overruns ``task_timeout`` rejects its future with a typed
+   :class:`JobFailure` (kind ``error``, ``crash`` or ``timeout``) —
+   never a dead server or a silently dropped request.  A simulation is
+   deterministic, so a failed job is not retried.
+3. **Store write-through.**  A job writes its report to the shared
+   :class:`~repro.sim.cache.SimCache` the moment it lands, so a result
+   computed for one client is a store hit for every later one.  The
+   queue itself never looks in the store: its caller (the HTTP
+   handler) has already missed there.
 4. **Graceful drain.**  ``close(drain=True)`` stops intake, lets queued
    and in-flight jobs finish, and only then cancels the workers — a
    server shutdown never strands a waiting client.
@@ -33,16 +33,18 @@ from __future__ import annotations
 import asyncio
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from ..errors import ReproError
-from ..experiments.parallel import supervised_sweep
-from ..experiments.surface import PatternPoint, simulate_point, simulate_point_key
-from .store import ResultStore
+from ..experiments.surface import PatternPoint, point_cache_key, simulate_point
+from ..params import DEFAULT_PLATFORM, HbmPlatform
+from ..runtime import run_isolated
+from ..sim.cache import SimCache, entry_digest
 
 
 class JobFailure(ReproError):
-    """A queued simulation failed; carries the supervised-sweep detail."""
+    """A queued simulation failed: ``kind`` is ``error`` (it raised),
+    ``crash`` (its isolated worker died) or ``timeout``."""
 
     def __init__(self, digest: str, kind: str, detail: str) -> None:
         self.digest = digest
@@ -60,21 +62,18 @@ class QueueCounters:
     """Observable accounting of everything the queue did.
 
     ``submitted`` counts every ``submit`` call; each one resolves as
-    exactly one of ``store_hits`` (answered from the shared store),
-    ``deduped`` (attached to an identical in-flight job), ``simulated``
-    (ran a fresh simulation) or ``failed``.
+    exactly one of ``deduped`` (attached to an identical in-flight job),
+    ``simulated`` (ran a fresh simulation) or ``failed``.
     """
 
     submitted: int = 0
-    store_hits: int = 0
     deduped: int = 0
     simulated: int = 0
     failed: int = 0
 
     def as_dict(self) -> Dict[str, int]:
-        return {"submitted": self.submitted, "store_hits": self.store_hits,
-                "deduped": self.deduped, "simulated": self.simulated,
-                "failed": self.failed}
+        return {"submitted": self.submitted, "deduped": self.deduped,
+                "simulated": self.simulated, "failed": self.failed}
 
 
 @dataclass(frozen=True)
@@ -82,7 +81,7 @@ class JobResult:
     """One resolved submission: the report plus how it was satisfied."""
 
     report: Any
-    source: str  #: ``store`` | ``simulated`` | ``deduped``
+    source: str  #: ``simulated`` | ``deduped``
     digest: str
 
 
@@ -92,29 +91,34 @@ class _Job:
     seq: int
     digest: str = field(compare=False)
     point: PatternPoint = field(compare=False)
+    key: Tuple = field(compare=False)
     future: asyncio.Future = field(compare=False)
 
 
 class JobQueue:
-    """Deduplicating asyncio job queue over the supervised sweep runtime.
+    """Deduplicating asyncio job queue over the shared result cache.
 
     ``workers`` asyncio worker tasks pull jobs in priority order and run
     each simulation in a thread (the simulation itself is synchronous
-    CPU work).  ``isolate=True`` additionally runs every simulation in a
-    one-worker supervised *process* pool, so a segfaulting point cannot
+    CPU work), then write its report to ``cache`` under the point's key
+    on ``platform``.  ``isolate=True`` runs each simulation once in a
+    fresh single-worker *process* instead
+    (:func:`~repro.runtime.run_isolated`), so a segfaulting point cannot
     take the server down; the default inline mode still reports
     exceptions as structured failures but shares the server process.
 
     ``task_timeout`` bounds each job in seconds.  Under ``isolate`` the
-    pool enforces it preemptively (the worker process is killed); inline
-    it bounds only the await — the orphaned thread finishes in the
-    background and its result still reaches the store.
+    worker process is killed at the deadline; inline it bounds only the
+    await — the orphaned thread finishes in the background and its
+    result still reaches the store.
     """
 
-    def __init__(self, store: ResultStore, *, workers: int = 1,
-                 task_timeout: Optional[float] = None,
+    def __init__(self, cache: SimCache,
+                 platform: HbmPlatform = DEFAULT_PLATFORM, *,
+                 workers: int = 1, task_timeout: Optional[float] = None,
                  isolate: bool = False) -> None:
-        self.store = store
+        self.cache = cache
+        self.platform = platform
         self.counters = QueueCounters()
         self.task_timeout = task_timeout
         self.isolate = isolate
@@ -130,29 +134,29 @@ class JobQueue:
         while len(self._tasks) < self._workers:
             self._tasks.append(asyncio.ensure_future(self._worker()))
 
-    def _run_point(self, point: PatternPoint) -> Any:
-        """Synchronous job body (runs in a thread off the event loop).
-
-        One-point supervised sweep against the shared store: a prior
-        result short-circuits, a fresh one is written through, and any
-        failure comes back as a structured outcome instead of a raise.
-        """
-        outcome = supervised_sweep(
-            simulate_point, [(point, self.store.platform)],
-            workers=2 if self.isolate else 1,
-            force_pool=self.isolate,
-            cache=self.store.cache, key_fn=simulate_point_key,
-            task_timeout=self.task_timeout if self.isolate else None)
-        if outcome.failures:
-            f = outcome.failures[0]
-            raise JobFailure(self.store.digest_for(point), f.kind, f.detail)
-        return outcome.results[0]
+    def _run_point(self, job: _Job) -> Any:
+        """Synchronous job body (runs in a thread off the event loop):
+        one simulation, written through to the cache, or a
+        :class:`JobFailure`."""
+        args = (job.point, self.platform)
+        if self.isolate:
+            kind, value = run_isolated(simulate_point, args,
+                                       self.task_timeout)
+        else:
+            try:
+                kind, value = None, simulate_point(args)
+            except Exception as exc:  # noqa: BLE001 — a structured failure
+                kind, value = "error", f"{type(exc).__name__}: {exc}"
+        if kind is not None:
+            raise JobFailure(job.digest, kind, value)
+        self.cache.put(job.key, value)
+        return value
 
     async def _worker(self) -> None:
         while True:
             job: _Job = await self._queue.get()
             try:
-                coro = asyncio.to_thread(self._run_point, job.point)
+                coro = asyncio.to_thread(self._run_point, job)
                 if self.task_timeout is not None and not self.isolate:
                     coro = asyncio.wait_for(coro, self.task_timeout)
                 report = await coro
@@ -166,7 +170,7 @@ class JobQueue:
                 if not job.future.done():
                     job.future.set_exception(JobFailure(
                         job.digest, "timeout",
-                        f"job exceeded {self.task_timeout}s"))
+                        f"exceeded the {self.task_timeout}s task timeout"))
             except Exception as exc:  # noqa: BLE001 — forwarded, not hidden
                 self.counters.failed += 1
                 if not job.future.done():
@@ -179,55 +183,52 @@ class JobQueue:
                 self._inflight.pop(job.digest, None)
                 self._queue.task_done()
 
-    async def submit(self, point: PatternPoint, *,
-                     priority: int = 0) -> JobResult:
-        """Resolve ``point``: store hit, shared in-flight job, or a new
-        simulation — awaiting until the report is available."""
+    def _enqueue(self, point: PatternPoint, priority: int,
+                 ) -> Tuple[str, asyncio.Future, bool]:
+        """``(digest, future, fresh)``: the in-flight job for ``point``,
+        or a new one queued at ``priority`` (``fresh``)."""
         if self._closing:
             raise QueueClosed("queue is draining; no new jobs accepted")
-        self.counters.submitted += 1
-        hit = self.store.get(point)
-        digest = self.store.digest_for(point)
-        if hit is not None:
-            self.counters.store_hits += 1
-            return JobResult(report=hit, source="store", digest=digest)
+        key = point_cache_key(point, self.platform)
+        digest = entry_digest(key)
         existing = self._inflight.get(digest)
         if existing is not None:
-            self.counters.deduped += 1
-            report = await asyncio.shield(existing)
-            return JobResult(report=report, source="deduped", digest=digest)
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
+            return digest, existing, False
+        future = asyncio.get_running_loop().create_future()
         self._inflight[digest] = future
-        await self._queue.put(_Job(priority=priority, seq=next(self._seq),
-                                   digest=digest, point=point, future=future))
+        self._queue.put_nowait(_Job(priority=priority, seq=next(self._seq),
+                                    digest=digest, point=point, key=key,
+                                    future=future))
+        return digest, future, True
+
+    async def submit(self, point: PatternPoint, *,
+                     priority: int = 0) -> JobResult:
+        """Resolve ``point`` by a shared in-flight job or a new
+        simulation, awaiting until the report is available."""
+        digest, future, fresh = self._enqueue(point, priority)
+        self.counters.submitted += 1
+        if not fresh:
+            self.counters.deduped += 1
         report = await asyncio.shield(future)
-        return JobResult(report=report, source="simulated", digest=digest)
+        return JobResult(report=report,
+                         source="simulated" if fresh else "deduped",
+                         digest=digest)
 
     def enqueue_nowait(self, point: PatternPoint, *,
                        priority: int = 10) -> str:
-        """Fire-and-forget warm-up: enqueue unless stored or in flight.
+        """Fire-and-forget warm-up: enqueue unless already in flight.
 
         The cold-path ``wait=0`` HTTP answer uses this — the client gets
         an immediate "pending" and the result lands in the store for the
         next query.  Returns the point's digest either way.
         """
-        if self._closing:
-            raise QueueClosed("queue is draining; no new jobs accepted")
-        digest = self.store.digest_for(point)
-        if digest in self._inflight or self.store.contains(point):
-            return digest
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-        # A fire-and-forget future has no awaiter; swallow its outcome so
-        # a failed warm-up never surfaces as an "exception was never
-        # retrieved" noise line.
-        future.add_done_callback(
-            lambda f: f.exception() if not f.cancelled() else None)
-        self._inflight[digest] = future
-        self._queue.put_nowait(_Job(priority=priority, seq=next(self._seq),
-                                    digest=digest, point=point,
-                                    future=future))
+        digest, future, fresh = self._enqueue(point, priority)
+        if fresh:
+            # A fire-and-forget future has no awaiter; swallow its
+            # outcome so a failed warm-up never surfaces as an
+            # "exception was never retrieved" noise line.
+            future.add_done_callback(
+                lambda f: f.exception() if not f.cancelled() else None)
         return digest
 
     def pending(self) -> int:

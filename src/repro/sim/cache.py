@@ -78,6 +78,16 @@ def platform_digest(platform: Any) -> str:
     return hashlib.sha1(repr(platform).encode()).hexdigest()[:12]
 
 
+def entry_digest(key: Tuple) -> str:
+    """Content address of a cache entry: the SHA-1 of its full key.
+
+    It is also the basename of the entry's spill file
+    (``<entry_digest(key)>.pkl``), so an entry id the service prints can
+    be found in the directory directly.
+    """
+    return hashlib.sha1(repr(key).encode()).hexdigest()
+
+
 def sweep_key(experiment: str, platform: Any, **params: Any) -> Tuple:
     """Build a cache key for one sweep point.
 
@@ -193,8 +203,7 @@ class SimCache:
             return len(self._memory)
 
     def _path(self, key: Tuple) -> str:
-        digest = hashlib.sha1(repr(key).encode()).hexdigest()
-        return os.path.join(self.directory, digest + ".pkl")
+        return os.path.join(self.directory, entry_digest(key) + ".pkl")
 
     def _remember(self, key: Tuple, value: Any) -> None:
         """Insert under the lock, evicting least-recently-used entries

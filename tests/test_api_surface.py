@@ -47,7 +47,6 @@ MODULES = [
     "repro.experiments.parallel",
     "repro.experiments.runner",
     "repro.experiments.surface",
-    "repro.service.store",
     "repro.service.queue",
     "repro.service.http",
     "repro.service.client",

@@ -11,8 +11,7 @@ import time
 import pytest
 
 from repro.errors import SweepError
-from repro.experiments.parallel import (default_workers, parallel_sweep,
-                                        supervised_sweep)
+from repro.experiments.parallel import default_workers, parallel_sweep
 from repro.runtime import pool as pool_mod
 
 
@@ -98,15 +97,19 @@ class TestCrashSafety:
                [0, 1, 9, 16, 25]
 
     def test_non_strict_sweep_returns_partial_results_with_holes(self):
-        """``supervised_sweep`` is the degrading caller's entry point:
-        the same crash leaves ``None`` in its slot instead of a raise."""
+        """A caller that degrades reads the partial results off the
+        raised error: the crash leaves ``None`` in its slot."""
         items = [(i, i == 1) for i in range(4)]
-        out = supervised_sweep(_crash_on, items, workers=2).results
+        with pytest.raises(SweepError) as info:
+            parallel_sweep(_crash_on, items, workers=2)
+        out = info.value.outcome.results
         assert out[0] == 0 and out[2] == 4 and out[3] == 9
         assert out[1] is None  # the hole
 
     def test_inline_error_is_structured_too(self):
-        outcome = supervised_sweep(_square, ["bad", 2], workers=1)
+        with pytest.raises(SweepError) as info:
+            parallel_sweep(_square, ["bad", 2], workers=1)
+        outcome = info.value.outcome
         assert outcome.failures[0].kind == "error"
         assert "TypeError" in outcome.failures[0].detail
         assert outcome.results[1] == 4
@@ -115,10 +118,11 @@ class TestCrashSafety:
         """A long item's repr is cut to 120 characters with a ``...``
         marker on both paths, so a hole reads the same either way."""
         long_item = "x" * 500
-        inline = supervised_sweep(_square, [long_item], workers=1)
-        pooled = supervised_sweep(_square, [long_item], workers=2,
-                                  force_pool=True)
-        texts = [o.failures[0].task for o in (inline, pooled)]
+        texts = []
+        for workers in (1, 2):
+            with pytest.raises(SweepError) as info:
+                parallel_sweep(_square, [long_item, 2], workers=workers)
+            texts.append(info.value.outcome.failures[0].task)
         assert texts[0] == texts[1]
         assert len(texts[0]) == 120 and texts[0].endswith("...")
 
@@ -132,10 +136,12 @@ class TestCrashSafety:
 
         cache = SimCache()
         cache.put(key_fn(1), 1)
-        outcome = supervised_sweep(_square, [1, 2, 3], workers=2,
-                                   cache=cache, key_fn=key_fn)
-        assert outcome.ok and outcome.total == 3
-        assert outcome.results == [1, 4, 9]
+        with pytest.raises(SweepError) as info:
+            parallel_sweep(_square, [1, 2, 3, "bad"], workers=2,
+                           cache=cache, key_fn=key_fn)
+        outcome = info.value.outcome
+        assert outcome.total == 4 and outcome.holes == [3]
+        assert outcome.results == [1, 4, 9, None]
         assert sorted(outcome.completed) == [0, 1, 2]
         assert cache.lookup(key_fn(3)) == 9  # checkpointed as it landed
 

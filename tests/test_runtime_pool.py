@@ -1,15 +1,17 @@
 """Worker-crash recovery tests for the supervised pool.
 
-These tests kill real worker processes (``os._exit``), hang them, and
-raise from them, then assert the supervision contract: the sweep
-completes, survivors' results are intact, and the casualties surface as
-structured :class:`~repro.runtime.TaskFailure` holes — never as a
+These tests kill real worker processes (``os._exit``) and raise from
+them, then assert the supervision contract: the sweep completes,
+survivors' results are intact, and the casualties surface as structured
+:class:`~repro.runtime.TaskFailure` holes — never as a
 ``BrokenProcessPool`` traceback that discards finished work.
 """
 
 from __future__ import annotations
 
 import os
+import signal
+import socket
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -60,11 +62,24 @@ def _raise_on(x):
     return value * value
 
 
-def _hang_on(x):
-    value, hang = x
-    if hang:
-        time.sleep(600)
-    return value * value
+def _hang(x):
+    time.sleep(600)
+
+
+def _hang_reporting_pid(path):
+    with open(path, "w") as fh:
+        fh.write(str(os.getpid()))
+    time.sleep(600)
+
+
+def _alive(pid):
+    """Whether ``pid`` runs (a zombie is dead, only not yet reaped)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            stat = fh.read()
+    except OSError:
+        return False
+    return stat[stat.rindex(")") + 2] != "Z"
 
 
 @pytest.fixture(autouse=True)
@@ -186,20 +201,52 @@ class TestDeterministicErrors:
         assert "task[4]" in text and "error" in text and "boom" in text
 
 
-class TestTimeouts:
-    def test_hung_task_is_killed_and_reported(self, monkeypatch):
-        """A task past its deadline is killed and charged like a crash:
-        with no budget to spare it hangs once more in quarantine and
-        becomes a ``poison`` hole; its neighbours complete."""
-        monkeypatch.setattr(pool_mod, "MAX_CRASH_RETRIES", 0)
-        items = [(i, i == 1) for i in range(4)]
-        outcome = SupervisedPool(2, task_timeout=1.5).map(_hang_on, items)
-        assert outcome.holes == [1]
-        failure = outcome.failures[0]
-        assert failure.kind == "poison"
-        assert "task timeout" in failure.detail
-        assert "timed out again in isolation" in failure.detail
-        assert [outcome.results[i] for i in (0, 2, 3)] == [0, 4, 9]
+class TestRunIsolated:
+    def test_one_call_in_a_fresh_worker_reports_its_failure_kind(self):
+        """The call runs in a marked worker and comes back as a value or
+        as the kind of its failure; a hang ends at the timeout."""
+        assert pool_mod.run_isolated(_crash_unless_isolated,
+                                     (3, True)) == (None, 9)
+        assert pool_mod.run_isolated(_crash_on, (3, True))[0] == "crash"
+        assert pool_mod.run_isolated(_raise_on, (3, True)) == (
+            "error", "ValueError: deterministic failure for 3")
+        start = time.monotonic()
+        kind, detail = pool_mod.run_isolated(_hang, None, timeout=0.5)
+        assert (kind, detail) == ("timeout",
+                                  "exceeded the 0.5s task timeout")
+        assert time.monotonic() - start < 5.0
+
+    def test_a_killed_worker_neither_survives_nor_signals_its_parent(
+            self, tmp_path):
+        """An asyncio server handles SIGTERM with a handler that does
+        nothing and a signal wakeup fd, and a forked worker inherits
+        both.  A worker killed at its timeout must die all the same, and
+        must not wake the parent's loop, which would read the signal as
+        a shutdown request."""
+        wake_r, wake_w = socket.socketpair()
+        wake_r.setblocking(False)
+        wake_w.setblocking(False)
+        old_fd = signal.set_wakeup_fd(wake_w.fileno())
+        old_handler = signal.signal(signal.SIGTERM, lambda *args: None)
+        pidfile = tmp_path / "pid"
+        try:
+            kind, _ = pool_mod.run_isolated(_hang_reporting_pid,
+                                            str(pidfile), timeout=0.5)
+        finally:
+            signal.signal(signal.SIGTERM, old_handler)
+            signal.set_wakeup_fd(old_fd)
+        try:
+            assert kind == "timeout"
+            with pytest.raises(BlockingIOError):
+                wake_r.recv(16)  # no signal reached this process's fd
+        finally:
+            wake_r.close()
+            wake_w.close()
+        pid = int(pidfile.read_text())
+        deadline = time.monotonic() + 5.0
+        while _alive(pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _alive(pid)
 
 
 class TestOutcomeContract:

@@ -1,4 +1,4 @@
-"""Tests for the sweep service's store, queue, and surface layers.
+"""Tests for the sweep service's store, queue, handler and surface layers.
 
 The HTTP tier has its own module (``test_service_http.py``); here the
 layers are driven directly so failures localize.
@@ -6,19 +6,24 @@ layers are driven directly so failures localize.
 
 import asyncio
 import os
+import sys
 import threading
+import time
 
 import pytest
 
+from repro.experiments import surface as surface_mod
 from repro.experiments._common import measure, measure_key, sweep_key
 from repro.experiments.surface import (PatternPoint, build_surface,
                                        point_cache_key, simulate_point)
-from repro.runtime import pool as pool_mod
-from repro.service import JobFailure, JobQueue, QueueClosed, ResultStore
-from repro.sim.cache import SimCache
+from repro.service import JobFailure, JobQueue, QueueClosed, SweepService
+from repro.sim.cache import MISS, SimCache, entry_digest
 from repro.types import Pattern, RWRatio
 
 CYCLES = 800  # tiny horizon: these tests exercise plumbing, not numbers
+
+#: Directory the crash stand-in counts its runs in (one byte a run).
+RUN_MARKER_ENV = "SERVICE_TEST_RUN_MARKER"
 
 
 def _point(pattern=Pattern.SCS, burst_len=16, **kw):
@@ -31,34 +36,44 @@ def _run(coro):
 
 
 def _crash_on_burst_4(args):
-    """Kill the worker on burst length 4 (a segfaulting point); simulate
-    every other point.  Module-level, so the pool can pickle it."""
+    """Kill the worker on burst length 4 (a segfaulting point), counting
+    the run in the marker file; simulate every other point.
+    Module-level, so the pool can pickle it."""
     if args[0].burst_len == 4:
+        with open(os.path.join(os.environ[RUN_MARKER_ENV], "runs"), "a") as fh:
+            fh.write("x")
         os._exit(137)
     return simulate_point(args)
 
 
+def _hang(args):
+    """A simulation that never finishes (module-level: picklable)."""
+    time.sleep(600)
+
+
 class TestResultStore:
+    """The result store is a :class:`SimCache` keyed by
+    :func:`point_cache_key`."""
+
     def test_round_trip_and_digest_stability(self, small_platform):
-        store = ResultStore(platform=small_platform)
+        cache = SimCache()
         point = _point()
-        assert store.get(point) is None
-        assert not store.contains(point)
+        key = point_cache_key(point, small_platform)
+        assert cache.lookup(key) is MISS
+        assert key not in cache
         report = simulate_point((point, small_platform))
-        digest = store.put(point, report)
-        assert store.get(point).total_gbps == report.total_gbps
-        assert store.contains(point)
-        # The digest is the content address: stable across calls and
-        # identical to a second store over the same platform.
-        assert digest == store.digest_for(point)
-        assert digest == ResultStore(platform=small_platform).digest_for(point)
-        assert len(digest) == 40  # full sha1 — matches the spill filename
+        cache.put(key, report)
+        assert cache.lookup(key).total_gbps == report.total_gbps
+        assert key in cache
+        # The digest is the content address: stable across key builds.
+        digest = entry_digest(key)
+        assert digest == entry_digest(point_cache_key(point, small_platform))
+        assert len(digest) == 40
 
     def test_store_keys_match_measure_entries(self, small_platform):
         """Interop contract: an entry written by measure() (i.e. by any
         experiment sweep) is a store hit for the equivalent point."""
         cache = SimCache()
-        store = ResultStore(cache=cache, platform=small_platform)
         point = _point(burst_len=4)
         base = sweep_key("pattern-sim", small_platform, fabric=point.fabric,
                          pattern=point.pattern, burst_len=point.burst_len,
@@ -75,20 +90,79 @@ class TestResultStore:
         rep = measure(point.fabric, sources, cycles=CYCLES,
                       platform=small_platform, fabric=fab,
                       cache_key=base, cache=cache)
-        hit = store.get(point)
-        assert hit is not None and hit.total_gbps == rep.total_gbps
+        hit = cache.lookup(point_cache_key(point, small_platform))
+        assert hit is not MISS and hit.total_gbps == rep.total_gbps
 
     def test_two_stores_share_one_directory(self, small_platform, tmp_path):
-        """Multi-process sharing in miniature: a second store over the
+        """Multi-process sharing in miniature: a second cache over the
         same spill directory sees the first one's entries."""
-        writer = ResultStore(directory=str(tmp_path),
-                             platform=small_platform)
-        point = _point()
-        report = simulate_point((point, small_platform))
-        writer.put(point, report)
-        reader = ResultStore(directory=str(tmp_path),
-                             platform=small_platform)
-        assert reader.get(point).total_gbps == report.total_gbps
+        key = point_cache_key(_point(), small_platform)
+        report = simulate_point((_point(), small_platform))
+        SimCache(directory=str(tmp_path)).put(key, report)
+        reader = SimCache(directory=str(tmp_path))
+        assert reader.lookup(key).total_gbps == report.total_gbps
+
+    def test_entry_digest_is_the_spill_filename(self, small_platform,
+                                                tmp_path):
+        """The content address names the entry's file, and a store
+        answer's provenance names that entry."""
+        cache = SimCache(directory=str(tmp_path))
+        key = point_cache_key(_point(), small_platform)
+        cache.put(key, simulate_point((_point(), small_platform)))
+        names = [p.name for p in tmp_path.iterdir()]
+        assert names == [f"{entry_digest(key)}.pkl"]
+        service = SweepService(JobQueue(cache, small_platform),
+                               default_cycles=CYCLES)
+        status, body = _run(service.handle(
+            "GET", "/v1/sweep?pattern=SCS&burst=16"))
+        assert (status, body["source"]) == (200, "store")
+        assert [f"{body['manifest']['entry']}.pkl"] == names
+
+
+class TestSweepHandler:
+    def test_each_answer_builds_one_key_and_looks_it_up_once(
+            self, small_platform, monkeypatch):
+        """A store hit and an interpolated answer build the point's
+        store key once, a simulated one at most twice (handler and
+        queue), and each request looks in the store exactly once."""
+        cache = SimCache()
+        surface = build_surface(small_platform, cycles=CYCLES,
+                                patterns=(Pattern.SCS,),
+                                burst_lengths=(4, 16), workers=1,
+                                cache=cache)
+        service = SweepService(JobQueue(cache, small_platform),
+                               surface=surface, default_cycles=CYCLES)
+        builds = []
+        real = surface_mod.point_cache_key
+
+        def counting(*args, **kwargs):
+            builds.append(None)
+            return real(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if (name.startswith("repro")
+                    and getattr(mod, "point_cache_key", None) is real):
+                monkeypatch.setattr(mod, "point_cache_key", counting)
+
+        async def main():
+            await service.queue.start()
+            seen = []
+            for query in ("pattern=SCS&burst=16", "pattern=SCS&burst=8",
+                          "pattern=SCRA&burst=16"):
+                builds.clear()
+                lookups = cache.hits + cache.misses
+                status, body = await service.handle(
+                    "GET", f"/v1/sweep?{query}")
+                assert status == 200
+                seen.append((body["source"], len(builds),
+                             cache.hits + cache.misses - lookups))
+            await service.queue.close()
+            return seen
+
+        (store, interp, cold) = _run(main())
+        assert store == ("store", 1, 1)
+        assert interp == ("interpolated", 1, 1)
+        assert cold[0] == "simulated" and cold[1] <= 2 and cold[2] == 1
 
 
 class TestJobQueue:
@@ -105,8 +179,7 @@ class TestJobQueue:
             return real(args)
 
         monkeypatch.setattr(queue_mod, "simulate_point", counting)
-        store = ResultStore(platform=small_platform)
-        queue = JobQueue(store, workers=2)
+        queue = JobQueue(SimCache(), small_platform, workers=2)
 
         async def main():
             await queue.start()
@@ -125,29 +198,6 @@ class TestJobQueue:
         assert queue.counters.deduped == 5
         assert queue.counters.submitted == 6
 
-    def test_store_hit_skips_the_queue(self, small_platform, monkeypatch):
-        import repro.service.queue as queue_mod
-        calls = []
-        monkeypatch.setattr(queue_mod, "simulate_point",
-                            lambda args: calls.append(args))
-        store = ResultStore(platform=small_platform)
-        point = _point()
-        report = simulate_point((point, small_platform))
-        store.put(point, report)
-        queue = JobQueue(store, workers=1)
-
-        async def main():
-            await queue.start()
-            result = await queue.submit(point)
-            await queue.close()
-            return result
-
-        result = _run(main())
-        assert result.source == "store"
-        assert calls == []
-        assert queue.counters.store_hits == 1
-        assert queue.counters.simulated == 0
-
     def test_failure_surfaces_structured_not_dead_worker(
             self, small_platform, monkeypatch):
         """A failing simulation rejects *that* future with a JobFailure
@@ -158,8 +208,7 @@ class TestJobQueue:
             raise ValueError("synthetic model explosion")
 
         monkeypatch.setattr(queue_mod, "simulate_point", boom)
-        store = ResultStore(platform=small_platform)
-        queue = JobQueue(store, workers=1)
+        queue = JobQueue(SimCache(), small_platform, workers=1)
 
         async def main():
             await queue.start()
@@ -196,8 +245,8 @@ class TestJobQueue:
             return real(args)
 
         monkeypatch.setattr(queue_mod, "simulate_point", slow)
-        store = ResultStore(platform=small_platform)
-        queue = JobQueue(store, workers=1)
+        cache = SimCache()
+        queue = JobQueue(cache, small_platform, workers=1)
 
         async def main():
             await queue.start()
@@ -214,7 +263,8 @@ class TestJobQueue:
 
         result = _run(main())
         assert result.source == "simulated"
-        assert store.get(_point()) is not None  # drained job reached store
+        # The drained job reached the store.
+        assert point_cache_key(_point(), small_platform) in cache
 
     def test_priority_orders_dispatch(self, small_platform, monkeypatch):
         """With one worker busy, lower-priority-number jobs run first."""
@@ -229,8 +279,7 @@ class TestJobQueue:
             return real(args)
 
         monkeypatch.setattr(queue_mod, "simulate_point", tracking)
-        store = ResultStore(platform=small_platform)
-        queue = JobQueue(store, workers=1)
+        queue = JobQueue(SimCache(), small_platform, workers=1)
 
         async def main():
             await queue.start()
@@ -254,10 +303,10 @@ class TestJobQueue:
         assert order[1:] == [Pattern.CCRA, Pattern.CCS]
 
     def test_isolated_point_matches_inline_simulation(self, small_platform):
-        """``isolate=True`` simulates in a one-worker process pool: the
+        """``isolate=True`` simulates in a fresh worker process: the
         report equals the in-process one and is written through."""
-        store = ResultStore(platform=small_platform)
-        queue = JobQueue(store, isolate=True)
+        cache = SimCache()
+        queue = JobQueue(cache, small_platform, isolate=True)
         point = _point(pattern=Pattern.SCRA, burst_len=8)
 
         async def main():
@@ -269,18 +318,19 @@ class TestJobQueue:
         result = _run(main())
         assert result.source == "simulated"
         assert result.report == simulate_point((point, small_platform))
-        assert store.get(point) == result.report
+        assert cache.lookup(point_cache_key(point, small_platform)) == \
+            result.report
         assert queue.counters.simulated == 1
 
-    def test_isolated_crash_is_poison_and_the_queue_survives(
-            self, small_platform, monkeypatch):
-        """A point that kills its worker becomes a ``poison`` JobFailure
-        after its isolated retry; the next point still resolves."""
+    def test_isolated_crash_fails_once_and_the_queue_survives(
+            self, small_platform, monkeypatch, tmp_path):
+        """A point that kills its worker runs once and becomes a
+        ``crash`` JobFailure; the next point still resolves."""
         import repro.service.queue as queue_mod
         monkeypatch.setattr(queue_mod, "simulate_point", _crash_on_burst_4)
-        monkeypatch.setattr(pool_mod, "BACKOFF_BASE_S", 0.01)
-        store = ResultStore(platform=small_platform)
-        queue = JobQueue(store, isolate=True)
+        monkeypatch.setenv(RUN_MARKER_ENV, str(tmp_path))
+        cache = SimCache()
+        queue = JobQueue(cache, small_platform, isolate=True)
 
         async def main():
             await queue.start()
@@ -291,12 +341,37 @@ class TestJobQueue:
             return info.value, result
 
         failure, result = _run(main())
-        assert failure.kind == "poison"
-        assert "crashed again in isolation" in failure.detail
+        assert failure.kind == "crash"
+        assert (tmp_path / "runs").read_text() == "x"  # one run
         assert result.source == "simulated"
-        assert store.get(_point(burst_len=4)) is None
-        assert store.get(_point(burst_len=16)) == result.report
+        assert point_cache_key(_point(burst_len=4), small_platform) \
+            not in cache
+        assert cache.lookup(point_cache_key(_point(burst_len=16),
+                                            small_platform)) == result.report
         assert queue.counters.failed == 1 and queue.counters.simulated == 1
+
+    def test_isolated_hang_times_out_at_the_task_timeout(
+            self, small_platform, monkeypatch):
+        """Under ``isolate`` a hung job is killed at ``task_timeout`` and
+        fails as ``timeout``, once, not after retries."""
+        import repro.service.queue as queue_mod
+        monkeypatch.setattr(queue_mod, "simulate_point", _hang)
+        queue = JobQueue(SimCache(), small_platform, isolate=True,
+                         task_timeout=1.0)
+
+        async def main():
+            await queue.start()
+            start = time.monotonic()
+            with pytest.raises(JobFailure) as info:
+                await queue.submit(_point())
+            elapsed = time.monotonic() - start
+            await queue.close()
+            return info.value, elapsed
+
+        failure, elapsed = _run(main())
+        assert failure.kind == "timeout"
+        assert elapsed < 2.5
+        assert queue.counters.failed == 1
 
     def test_inline_timeout_rejects_job(self, small_platform, monkeypatch):
         import repro.service.queue as queue_mod
@@ -306,8 +381,8 @@ class TestJobQueue:
             return None
 
         monkeypatch.setattr(queue_mod, "simulate_point", hang)
-        store = ResultStore(platform=small_platform)
-        queue = JobQueue(store, workers=1, task_timeout=0.2)
+        queue = JobQueue(SimCache(), small_platform, workers=1,
+                         task_timeout=0.2)
 
         async def main():
             await queue.start()
@@ -373,12 +448,12 @@ class TestSweepSurface:
 
     def test_surface_build_is_store_warm(self, small_platform,
                                          surface_and_cache):
-        """build_surface wrote through the cache: a store over the same
-        cache answers every grid point without simulating."""
+        """build_surface wrote through the cache: the store key of every
+        grid point hits without simulating."""
         _, cache = surface_and_cache
-        store = ResultStore(cache=cache, platform=small_platform)
         for bl in (1, 4, 16):
-            assert store.contains(_point(burst_len=bl))
+            assert point_cache_key(_point(burst_len=bl), small_platform) \
+                in cache
 
     def test_rebuild_from_warm_cache_is_pure_hit(self, small_platform,
                                                  surface_and_cache):

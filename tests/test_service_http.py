@@ -20,10 +20,11 @@ import time
 import pytest
 
 import repro.service.http as http_mod
-from repro.experiments.surface import PatternPoint, build_surface
-from repro.service import (JobQueue, ResultStore, ServiceClient,
-                           ServiceClientError, ServiceServer, SweepService)
-from repro.sim.cache import SimCache
+from repro.experiments.surface import (PatternPoint, build_surface,
+                                       point_cache_key)
+from repro.service import (JobQueue, ServiceClient, ServiceClientError,
+                           ServiceServer, SweepService)
+from repro.sim.cache import SimCache, entry_digest
 from repro.types import Pattern
 
 CYCLES = 800
@@ -65,13 +66,11 @@ class _BackgroundServer:
 def served(small_platform):
     """One warm service for the whole module: store + surface + queue."""
     cache = SimCache()
-    store = ResultStore(cache=cache, platform=small_platform)
     surface = build_surface(small_platform, cycles=CYCLES,
                             patterns=(Pattern.SCS,),
                             burst_lengths=(1, 4, 16), workers=1, cache=cache)
-    queue = JobQueue(store, workers=2)
-    service = SweepService(store, queue, surface=surface,
-                           default_cycles=CYCLES)
+    queue = JobQueue(cache, small_platform, workers=2)
+    service = SweepService(queue, surface=surface, default_cycles=CYCLES)
     with _BackgroundServer(service) as base_url:
         client = ServiceClient(base_url)
         yield client, service
@@ -80,8 +79,7 @@ def served(small_platform):
 
 def _bare_service(platform) -> SweepService:
     """A service without a surface, its HTTP counters at zero."""
-    store = ResultStore(cache=SimCache(), platform=platform)
-    return SweepService(store, JobQueue(store, workers=1),
+    return SweepService(JobQueue(SimCache(), platform, workers=1),
                         default_cycles=CYCLES)
 
 
@@ -129,8 +127,9 @@ class TestEndpoints:
         assert service.queue.counters.simulated == before  # no simulation
         m = body["manifest"]
         assert m["endpoint"] == "sweep" and m["source"] == "store"
-        assert m["entry"] == service.store.digest_for(
-            PatternPoint(pattern=Pattern.SCS, burst_len=16, cycles=CYCLES))
+        assert m["entry"] == entry_digest(point_cache_key(
+            PatternPoint(pattern=Pattern.SCS, burst_len=16, cycles=CYCLES),
+            service.platform))
 
     def test_off_grid_burst_interpolates(self, served):
         client, service = served
@@ -165,10 +164,11 @@ class TestEndpoints:
         digest = body["entry"]
         point = PatternPoint(pattern=Pattern.CCRA, burst_len=2,
                              cycles=CYCLES)
-        assert digest == service.store.digest_for(point)
+        key = point_cache_key(point, service.platform)
+        assert digest == entry_digest(key)
         deadline = time.monotonic() + 60
         while time.monotonic() < deadline:
-            if service.store.get(point) is not None:
+            if key in service.cache:
                 break
             time.sleep(0.05)
         else:
@@ -189,12 +189,12 @@ class TestEndpoints:
         arrived = service.queue.counters.submitted + 5
         run_point = service.queue._run_point
 
-        def held_run_point(point):
+        def held_run_point(job):
             deadline = time.monotonic() + 30
             while (service.queue.counters.submitted < arrived
                    and time.monotonic() < deadline):
                 time.sleep(0.005)
-            return run_point(point)
+            return run_point(job)
         monkeypatch.setattr(service.queue, "_run_point", held_run_point)
         kwargs = dict(pattern="CCS", burst=4, cycles=CYCLES)
         with concurrent.futures.ThreadPoolExecutor(5) as pool:
@@ -416,6 +416,37 @@ class TestKeepAlive:
             assert "listening on http://" in line, line
             client = ServiceClient(line.split("listening on ", 1)[1].strip())
             client.healthz()  # the server now holds the connection idle
+            proc.send_signal(signal.SIGINT)
+            out, _ = proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+            if client is not None:
+                client.close()
+        assert proc.returncode == 0
+        assert "repro-hbm service stopped gracefully" in out
+
+    def test_isolated_serve_outlives_its_jobs(self, tmp_path):
+        """``serve --isolate`` answers a cold point from a fresh worker
+        process and keeps serving after it: killing that worker must not
+        reach the server's own SIGTERM handling."""
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--no-surface", "--isolate", "--task-timeout", "120",
+             "--cycles", "600", "--store-dir", str(tmp_path)],
+            cwd=ROOT, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            stdout=subprocess.PIPE, text=True)
+        client = None
+        try:
+            line = proc.stdout.readline()
+            assert "listening on http://" in line, line
+            client = ServiceClient(line.split("listening on ", 1)[1].strip())
+            body = client.sweep(pattern="CCS", burst=4)
+            assert body["source"] == "simulated"
+            time.sleep(0.2)  # a stray shutdown would land by now
+            queue = client.stats()["queue"]
+            assert queue["simulated"] == 1 and queue["failed"] == 0
             proc.send_signal(signal.SIGINT)
             out, _ = proc.communicate(timeout=30)
         finally:

@@ -478,11 +478,11 @@ class TestMemoryBound:
 
         served = []
         monkeypatch.setattr(http_mod, "run_server",
-                            lambda *a, store, **kw: served.append(store))
+                            lambda *a, cache, **kw: served.append(cache))
         monkeypatch.setenv("REPRO_SIM_CACHE_MEM", "4")
         assert main(["serve", "--mem-entries", "0", "--no-surface",
                      "--store-dir", str(tmp_path)]) == 0
-        cache = served[0].cache
+        cache = served[0]
         assert cache.max_memory_entries is None
         for i in range(10):
             cache.put(sweep_key("zero", DEFAULT_PLATFORM, a=i), i)
