@@ -45,7 +45,7 @@ class MasterPort:
                  "read_issued", "write_issued", "exhausted",
                  "_retry", "_retry_seq", "retries", "nacks", "unrecoverable",
                  "max_retries", "backoff_base", "backoff_cap", "on_issue",
-                 "draining")
+                 "draining", "clock_ratio")
 
     def __init__(
         self,
@@ -59,6 +59,9 @@ class MasterPort:
     ) -> None:
         self.index = index
         self.platform = platform
+        #: The platform's accelerator/fabric clock ratio, read once (the
+        #: property divides on every read).
+        self.clock_ratio = platform.clock_ratio
         self.source = source
         self.outstanding_limit = outstanding_limit
         self.outstanding = 0
@@ -99,7 +102,7 @@ class MasterPort:
         ordinary credit and pacing budget, so a retry storm self-throttles
         exactly like fresh traffic.
         """
-        ratio = self.platform.clock_ratio
+        ratio = self.clock_ratio
         retry = self._retry
         while (retry and retry[0][0] <= cycle
                and self.outstanding < self.outstanding_limit

@@ -66,6 +66,12 @@ class AxiTransaction:
     Attributes double as the simulator's bookkeeping: ``issue_cycle`` is
     stamped when the master issues the address, ``complete_cycle`` when the
     last read beat returns (reads) or the write response arrives (writes).
+    ``row`` and ``bank`` are the DRAM row and bank of ``local``, decoded
+    once when a memory controller accepts the transaction into a
+    scheduler queue, so the scheduler scores its reorder window without
+    dividing again; like ``pch`` and ``local`` they are ``-1`` until
+    then, and a NACKed transaction is decoded again when its retry is
+    accepted.
 
     Parameters
     ----------
@@ -87,8 +93,8 @@ class AxiTransaction:
 
     __slots__ = (
         "uid", "master", "direction", "address", "burst_len", "axi_id",
-        "pch", "local", "issue_cycle", "accept_cycle", "complete_cycle",
-        "beats_done", "hops", "status", "retries",
+        "pch", "local", "row", "bank", "issue_cycle", "accept_cycle",
+        "complete_cycle", "beats_done", "hops", "status", "retries",
     )
 
     def __init__(
@@ -113,6 +119,10 @@ class AxiTransaction:
         self.pch: int = -1
         #: Local (within-PCH) byte offset; filled in by the address map.
         self.local: int = -1
+        #: DRAM row and bank of ``local``; decoded by the memory
+        #: controller that accepts the transaction into its queue.
+        self.row: int = -1
+        self.bank: int = -1
         #: Cycle the master issued the address phase.
         self.issue_cycle: int = -1
         #: Cycle the memory controller accepted the transaction.

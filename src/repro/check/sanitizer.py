@@ -46,6 +46,7 @@ the sanitizer enabled produces a bit-identical
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from typing import TYPE_CHECKING, Callable, Deque, Dict, Optional, Tuple
 
@@ -120,11 +121,16 @@ class Sanitizer:
     ``--sanitize``, env ``REPRO_SANITIZE=1``).  Tests may attach their
     own instance — e.g. with ``strict_ordering=True`` — to an engine
     built with sanitizing off.
+
+    The sanitizer refers to its engine weakly.  The engine, its issue
+    hooks and its bank-set proxies all hold the sanitizer, so a strong
+    reference back would put a finished run in reference cycles, which
+    only the cyclic garbage collector frees.
     """
 
     def __init__(self, strict_ordering: bool = False) -> None:
         self.strict_ordering = strict_ordering
-        self.engine: Optional["Engine"] = None
+        self._engine: Optional["weakref.ref[Engine]"] = None
         #: uid -> (txn, issue cycle, attempt ordinal) of in-flight attempts.
         self._inflight: Dict[int, Tuple[AxiTransaction, int, int]] = {}
         #: (master, axi_id) -> issue-ordered uids of in-flight reads.
@@ -145,11 +151,18 @@ class Sanitizer:
 
     # -- wiring --------------------------------------------------------------
 
+    @property
+    def engine(self) -> Optional["Engine"]:
+        """The attached engine; ``None`` before :meth:`attach` or once
+        the engine has been freed."""
+        ref = self._engine
+        return None if ref is None else ref()
+
     def attach(self, engine: "Engine") -> None:
         """Hook into ``engine``: issue hooks, observer list, bank proxies."""
-        if self.engine is not None:
+        if self._engine is not None:
             raise SanitizerError("sanitizer already attached")
-        self.engine = engine
+        self._engine = weakref.ref(engine)
         fabric = engine.fabric
         for mp in engine.masters:
             mp.on_issue = self._chain(mp.on_issue)

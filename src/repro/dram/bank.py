@@ -38,12 +38,6 @@ class BankSet:
         row = local_addr // self.timing.row_bytes
         return row % self.timing.num_banks
 
-    def would_hit(self, local_addr: int) -> bool:
-        """Whether an access to ``local_addr`` would hit the open row
-        (used by the controller's FR-FCFS-style scheduler)."""
-        row = local_addr // self.timing.row_bytes
-        return self.open_row[row % self.timing.num_banks] == row
-
     def access(self, local_addr: int, earliest: float) -> tuple[float, bool]:
         """Perform the row management for an access starting no earlier than
         ``earliest``.

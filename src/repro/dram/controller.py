@@ -261,6 +261,12 @@ class MemoryController:
         if len(q) >= self.sched.queue_capacity:
             return False
         txn.accept_cycle = cycle
+        # Decode the DRAM coordinates once, for every pick that scores
+        # this transaction while it waits in the queue.
+        t = self.timing
+        row = txn.local // t.row_bytes
+        txn.row = row
+        txn.bank = row % t.num_banks
         q.append(txn)
         if self._reads_only[li]:
             self._clear_reads_only(li)
@@ -362,24 +368,31 @@ class MemoryController:
         exhausted).  A failing pick that found the response path full
         and probed no write gate marks the PCH reads-only: the write
         gate is probed at the first write that passes the order filter.
+        An entry scores a row hit from the ``row`` and ``bank``
+        :meth:`try_accept` decoded.
         """
         s = self.sched
-        banks = pch.banks
+        open_row = pch.banks.open_row
         last_dir = pch.last_dir
+        hit_bonus = s.hit_bonus
+        dir_bonus = s.dir_bonus
+        depth = s.reorder_depth
         best_idx: Optional[int] = None
         best_score = -1
         limit = min(len(q), s.window)
         # The per-master order constraint can only bind when a master may
         # have more than ``reorder_depth`` entries inside the window.
-        track_order = s.reorder_depth < limit
+        track_order = depth < limit
         seen: dict = {} if track_order else None
         # Room for one more read's data: the FIFO's occupancy plus the
         # reads already booked to land in it.
         fifo = self.response_fifos[li]
         resp_ok = fifo is None or (
             len(fifo.items) + self._pending_reads[li] < fifo.capacity)
-        gate_ok = [None, None]  # cached per direction
-        max_score = s.hit_bonus + s.dir_bonus
+        # Each port gate is probed once, at the first entry that needs it.
+        read_ok: Optional[bool] = None
+        write_ok: Optional[bool] = None
+        max_score = hit_bonus + dir_bonus
         read_dir = Direction.READ
         for i in range(limit):
             txn = q[i]
@@ -387,28 +400,29 @@ class MemoryController:
                 m = txn.master
                 order = seen.get(m, 0)
                 seen[m] = order + 1
-                if order >= s.reorder_depth:
+                if order >= depth:
                     continue
-            is_read = txn.direction is read_dir
-            d = 0 if is_read else 1
-            ok = gate_ok[d]
-            if ok is None:
-                ok = gate_ok[d] = pch.channel_open(is_read, cycle)
-            if not ok:
-                continue
-            if is_read and not resp_ok:
-                continue
-            score = 0
-            if banks.would_hit(txn.local):
-                score += s.hit_bonus
+            if txn.direction is read_dir:
+                if read_ok is None:
+                    read_ok = pch.channel_open(True, cycle)
+                if not read_ok or not resp_ok:
+                    continue
+                d = 0
+            else:
+                if write_ok is None:
+                    write_ok = pch.channel_open(False, cycle)
+                if not write_ok:
+                    continue
+                d = 1
+            score = hit_bonus if open_row[txn.bank] == txn.row else 0
             if d == last_dir:
-                score += s.dir_bonus
+                score += dir_bonus
             if score > best_score:
                 best_score = score
                 best_idx = i
                 if score == max_score:
                     break  # cannot do better
-        if best_idx is None and not resp_ok and gate_ok[1] is None:
+        if best_idx is None and not resp_ok and write_ok is None:
             self._reads_only[li] = True
         return best_idx
 

@@ -30,6 +30,7 @@ Keys come from :func:`sweep_key`, which folds in
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import pickle
@@ -73,8 +74,14 @@ def cache_enabled() -> bool:
         "0", "false", "no", "off")
 
 
+@functools.lru_cache(maxsize=32)
 def platform_digest(platform: Any) -> str:
-    """Short stable digest of a platform's full parameterization."""
+    """Short stable digest of a platform's full parameterization.
+
+    Memoized per platform, which is frozen and hashable: a server keys
+    every request with its one platform, and hashing the platform costs
+    a fraction of the ``repr`` the digest is made from.
+    """
     return hashlib.sha1(repr(platform).encode()).hexdigest()[:12]
 
 

@@ -1,6 +1,7 @@
 """Unit tests for the DRAM models: banks, pseudo-channel, controller."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.axi import AxiTransaction
 from repro.dram.bank import BankSet
@@ -57,11 +58,25 @@ class TestBankSet:
         assert ready >= t.t_rrd + t.t_rcd
 
     def test_would_hit(self):
-        b = BankSet(_t())
-        assert not b.would_hit(0)
+        """The scheduler tells a row hit from the ``row`` and ``bank``
+        the controller decoded when it accepted the transaction."""
+        t = _t(t_refi=10 ** 9)
+        mc, _ = _mc(timing=t)
+        txns = [_rd(0), _rd(100), _rd(t.row_bytes * t.num_banks)]
+        assert [(x.row, x.bank) for x in txns] == [(-1, -1)] * 3
+        for txn in txns:
+            assert mc.try_accept(txn, 0)
+        assert [(x.row, x.bank) for x in txns] == [
+            (0, 0), (0, 0), (t.num_banks, 0)]
+        b = mc.pchs[0].banks
+
+        def would_hit(txn):
+            return b.open_row[txn.bank] == txn.row
+
+        assert not would_hit(txns[0])
         b.access(0, 0.0)
-        assert b.would_hit(100)
-        assert not b.would_hit(_t().row_bytes * _t().num_banks)
+        assert would_hit(txns[1])
+        assert not would_hit(txns[2])
 
     def test_hit_rate_accounting(self):
         b = BankSet(_t())
@@ -355,6 +370,132 @@ class TestMemoryController:
                 mc.try_accept(txn, 0)
         mc.step(0)
         assert mc.cmd_free >= 1.2 * 4  # several command slots consumed
+
+
+def _would_hit(banks, local_addr):
+    """The bank set's open-row test the scheduler used to call per
+    window entry (``BankSet.would_hit`` before the decode at accept)."""
+    row = local_addr // banks.timing.row_bytes
+    return banks.open_row[row % banks.timing.num_banks] == row
+
+
+def _reference_pick(mc, q, pch, li, cycle):
+    """The FR-FCFS pick as it was before ``try_accept`` decoded each
+    transaction's row and bank: it re-derives the row per entry through
+    :func:`_would_hit` and caches the gate probes in a list."""
+    s = mc.sched
+    banks = pch.banks
+    last_dir = pch.last_dir
+    best_idx = None
+    best_score = -1
+    limit = min(len(q), s.window)
+    track_order = s.reorder_depth < limit
+    seen = {} if track_order else None
+    fifo = mc.response_fifos[li]
+    resp_ok = fifo is None or (
+        len(fifo.items) + mc._pending_reads[li] < fifo.capacity)
+    gate_ok = [None, None]
+    max_score = s.hit_bonus + s.dir_bonus
+    for i in range(limit):
+        txn = q[i]
+        if track_order:
+            m = txn.master
+            order = seen.get(m, 0)
+            seen[m] = order + 1
+            if order >= s.reorder_depth:
+                continue
+        is_read = txn.direction is Direction.READ
+        d = 0 if is_read else 1
+        ok = gate_ok[d]
+        if ok is None:
+            ok = gate_ok[d] = pch.channel_open(is_read, cycle)
+        if not ok:
+            continue
+        if is_read and not resp_ok:
+            continue
+        score = 0
+        if _would_hit(banks, txn.local):
+            score += s.hit_bonus
+        if d == last_dir:
+            score += s.dir_bonus
+        if score > best_score:
+            best_score = score
+            best_idx = i
+            if score == max_score:
+                break
+    if best_idx is None and not resp_ok and gate_ok[1] is None:
+        mc._reads_only[li] = True
+    return best_idx
+
+
+_PICK_TIMING = _t(t_refi=10 ** 9)
+_PICK_CYCLE = 1000
+#: Port-gate debts around the open/closed boundary of the pick cycle.
+_GATE_DEBT = st.integers(
+    _PICK_CYCLE + _PICK_TIMING.port_slack_cycles - 2,
+    _PICK_CYCLE + _PICK_TIMING.port_slack_cycles + 2)
+
+
+class TestPickMatchesReference:
+    """The pick that scores hits from the decoded ``row``/``bank``
+    chooses, probes and flags exactly as the reference pick does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        entries=st.lists(
+            st.tuples(st.booleans(),
+                      st.integers(0, 3 * _PICK_TIMING.num_banks
+                                  * _PICK_TIMING.row_bytes - 1),
+                      st.integers(0, 3)),
+            min_size=1, max_size=24),
+        open_rows=st.lists(st.integers(-1, 2),
+                           min_size=_PICK_TIMING.num_banks,
+                           max_size=_PICK_TIMING.num_banks),
+        debts=st.tuples(_GATE_DEBT, _GATE_DEBT),
+        last_dir=st.sampled_from([-1, 0, 1]),
+        bounded=st.booleans(),
+        occupancy=st.integers(0, 4),
+        booked=st.integers(0, 4),
+        window=st.integers(1, 16),
+        reorder_depth=st.integers(1, 20),
+        bonuses=st.tuples(st.integers(0, 3), st.integers(0, 2)),
+    )
+    def test_pick(self, entries, open_rows, debts, last_dir, bounded,
+                  occupancy, booked, window, reorder_depth, bonuses):
+        t = _PICK_TIMING
+        sched = SchedulerConfig(window=window, reorder_depth=reorder_depth,
+                                queue_capacity=24, hit_bonus=bonuses[0],
+                                dir_bonus=bonuses[1])
+        txns = []
+        for is_read, local, master in entries:
+            txn = (_rd if is_read else _wr)(0, master=master)
+            txn.local = local
+            txns.append(txn)
+        results = []
+        for pick in (MemoryController._pick, _reference_pick):
+            fifo = _ResponseFifo(capacity=4)
+            fifo.items = [None] * occupancy
+            pch = PseudoChannel(0, t, port_ratio=2 / 3)
+            mc = MemoryController(
+                0, [pch], t, sched,
+                on_read_data=lambda txn, time: None,
+                on_write_accept=lambda txn, time: None,
+                response_fifos=[fifo] if bounded else None)
+            for txn in txns:
+                assert mc.try_accept(txn, 0)
+            # Bank b's open row is closed (-1) or one of the rows that
+            # map to it, so the drawn addresses hit it now and then.
+            pch.banks.open_row[:] = [
+                -1 if k < 0 else b + k * t.num_banks
+                for b, k in enumerate(open_rows)]
+            pch.chan_debt[:] = [float(d) for d in debts]
+            pch.last_dir = last_dir
+            mc._pending_reads[0] = booked
+            stalls = pch.counters.port_stalls
+            idx = pick(mc, mc.queues[0], pch, 0, _PICK_CYCLE)
+            results.append((idx, pch.counters.port_stalls - stalls,
+                            mc._reads_only[0]))
+        assert results[0] == results[1]
 
 
 class TestPerBankRefresh:

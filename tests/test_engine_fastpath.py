@@ -544,18 +544,22 @@ def test_finished_fabric_freed_without_gc(small_platform, fabric_key,
                                           engine):
     """Controllers call back into their fabric through a weak proxy, a
     parked response FIFO wakes its controller through a weak reference,
-    and the vendor fabric empties its buffers when freed, so a finished
-    run leaves no reference cycle: dropping the engine frees the fabric
-    by reference counting alone, with nothing left for the cyclic gc."""
+    the vendor fabric empties its buffers when freed, and the sanitizer
+    refers to its engine weakly, so a finished run, sanitized or not,
+    leaves no reference cycle: dropping the engine frees the fabric by
+    reference counting alone, with nothing left for the cyclic gc."""
     gc.collect()
     gc.disable()
     try:
-        eng, _ = _run(small_platform, fabric_key, Pattern.CCS, TWO_TO_ONE,
-                      32, engine, cycles=400, warmup=100)
-        ref = weakref.ref(eng.fabric)
-        del eng
-        assert ref() is None
-        assert gc.collect() == 0
+        for sanitize in (False, True):
+            eng, _ = _run(small_platform, fabric_key, Pattern.CCS,
+                          TWO_TO_ONE, 32, engine, cycles=400, warmup=100,
+                          sanitize=sanitize)
+            assert (eng.sanitizer is not None) == sanitize
+            ref = weakref.ref(eng.fabric)
+            del eng
+            assert ref() is None
+            assert gc.collect() == 0
     finally:
         gc.enable()
 

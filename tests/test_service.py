@@ -17,7 +17,7 @@ from repro.experiments._common import measure, measure_key, sweep_key
 from repro.experiments.surface import (PatternPoint, build_surface,
                                        point_cache_key, simulate_point)
 from repro.service import JobFailure, JobQueue, QueueClosed, SweepService
-from repro.sim.cache import MISS, SimCache, entry_digest
+from repro.sim.cache import MISS, SimCache, entry_digest, platform_digest
 from repro.types import Pattern, RWRatio
 
 CYCLES = 800  # tiny horizon: these tests exercise plumbing, not numbers
@@ -163,6 +163,34 @@ class TestSweepHandler:
         assert store == ("store", 1, 1)
         assert interp == ("interpolated", 1, 1)
         assert cold[0] == "simulated" and cold[1] <= 2 and cold[2] == 1
+
+    def test_second_store_hit_computes_no_platform_digest(
+            self, small_platform, monkeypatch):
+        """A store hit names the server's platform digest twice, in the
+        point's key and in the manifest; the platform never changes, so
+        its digest is computed once and a later hit computes none."""
+        cache = SimCache()
+        cache.put(point_cache_key(_point(), small_platform),
+                  simulate_point((_point(), small_platform)))
+        service = SweepService(JobQueue(cache, small_platform),
+                               default_cycles=CYCLES)
+        reprs = []
+        real = type(small_platform).__repr__
+
+        def counting(platform):
+            reprs.append(None)
+            return real(platform)
+
+        monkeypatch.setattr(type(small_platform), "__repr__", counting)
+        platform_digest.cache_clear()
+        digests = []
+        for _ in range(2):
+            reprs.clear()
+            status, body = _run(service.handle(
+                "GET", "/v1/sweep?pattern=SCS&burst=16"))
+            assert (status, body["source"]) == (200, "store")
+            digests.append(len(reprs))
+        assert digests == [1, 0]
 
 
 class TestJobQueue:
