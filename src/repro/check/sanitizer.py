@@ -48,7 +48,8 @@ from __future__ import annotations
 
 import weakref
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Deque, Dict, Optional, Tuple
+from typing import (TYPE_CHECKING, Callable, Deque, Dict, List, Optional,
+                    Tuple)
 
 from ..axi.transaction import (AxiTransaction, STATUS_NAMES, STATUS_OK,
                                check_burst_legal)
@@ -58,6 +59,7 @@ from ..errors import (AxiProtocolError, BankStateViolation,
                       TimestampViolation)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..params import DramTiming
     from ..sim.engine import Engine
 
 
@@ -69,8 +71,13 @@ class CheckedBankSet:
     against the pre-call row state: the legality invariant is that a
     column access may only claim a hit on the currently open row, and a
     miss must activate — never earlier than the bank's ``next_act``
-    bound.
+    bound.  The scheduler reads ``open_row`` on every pick, so it and
+    the other row-state fields are plain properties; the rest goes
+    through ``__getattr__``.  The message of a violation is built only
+    once one is found.
     """
+
+    __slots__ = ("_inner", "_san", "_pch")
 
     def __init__(self, inner, sanitizer: "Sanitizer", pch_index: int) -> None:
         self._inner = inner
@@ -80,6 +87,18 @@ class CheckedBankSet:
     def __getattr__(self, name: str):
         return getattr(self._inner, name)
 
+    @property
+    def open_row(self) -> List[int]:
+        return self._inner.open_row
+
+    @property
+    def next_act(self) -> List[float]:
+        return self._inner.next_act
+
+    @property
+    def timing(self) -> "DramTiming":
+        return self._inner.timing
+
     def access(self, local_addr: int, earliest: float) -> Tuple[float, bool]:
         inner = self._inner
         t = inner.timing
@@ -88,29 +107,38 @@ class CheckedBankSet:
         predicted_hit = inner.open_row[bank] == row
         act_bound = inner.next_act[bank]
         ready, hit = inner.access(local_addr, earliest)
-        san = self._san
-        san.checks_run += 1
+        self._san.checks_run += 1
+        if (hit != predicted_hit or ready < earliest
+                or inner.open_row[bank] != row
+                or (not hit and inner.next_act[bank] < act_bound)):
+            self._violation(row, bank, predicted_hit, act_bound, earliest,
+                            ready, hit)
+        return ready, hit
+
+    def _violation(self, row: int, bank: int, predicted_hit: bool,
+                   act_bound: float, earliest: float, ready: float,
+                   hit: bool) -> None:
+        """Raise the first of :meth:`access`'s checks that failed."""
+        inner = self._inner
+        ctx = self._san._ctx()
         where = f"pch {self._pch} bank {bank} row {row}"
         if hit != predicted_hit:
             raise BankStateViolation(
                 f"column access to {where} reported "
                 f"{'hit' if hit else 'miss'} but row "
                 f"{inner.open_row[bank] if predicted_hit else 'closed/other'}"
-                f" state implies {'hit' if predicted_hit else 'miss'}",
-                san._ctx())
+                f" state implies {'hit' if predicted_hit else 'miss'}", ctx)
         if ready < earliest:
             raise BankStateViolation(
                 f"{where}: column-ready {ready} before request time "
-                f"{earliest}", san._ctx())
+                f"{earliest}", ctx)
         if inner.open_row[bank] != row:
             raise BankStateViolation(
                 f"{where}: access left bank open at row "
-                f"{inner.open_row[bank]} instead of {row}", san._ctx())
-        if not hit and inner.next_act[bank] < act_bound:
-            raise BankStateViolation(
-                f"{where}: activate bound moved backwards "
-                f"({act_bound} -> {inner.next_act[bank]})", san._ctx())
-        return ready, hit
+                f"{inner.open_row[bank]} instead of {row}", ctx)
+        raise BankStateViolation(
+            f"{where}: activate bound moved backwards "
+            f"({act_bound} -> {inner.next_act[bank]})", ctx)
 
 
 class Sanitizer:
@@ -148,6 +176,11 @@ class Sanitizer:
         self.relaxed_inversions = 0
         self._track_lanes = False
         self._ordering_armed = False
+        #: The platform's channel count and per-channel capacity, the
+        #: bounds of every issue's resolved ``pch`` and ``local`` (set at
+        #: :meth:`attach`).
+        self._num_pch = 0
+        self._pch_capacity = 0
 
     # -- wiring --------------------------------------------------------------
 
@@ -164,6 +197,8 @@ class Sanitizer:
             raise SanitizerError("sanitizer already attached")
         self._engine = weakref.ref(engine)
         fabric = engine.fabric
+        self._num_pch = fabric.platform.num_pch
+        self._pch_capacity = fabric.platform.pch_capacity
         for mp in engine.masters:
             mp.on_issue = self._chain(mp.on_issue)
         engine.observers.append(self)
@@ -243,21 +278,21 @@ class Sanitizer:
         except AxiProtocolError as exc:
             raise SanitizerError(f"illegal burst issued: {exc}",
                                  self._ctx(cycle, txn)) from exc
-        eng = self.engine
-        if eng is not None:
-            platform = eng.fabric.platform
-            if not 0 <= txn.pch < platform.num_pch:
-                raise SanitizerError(
-                    f"resolved pseudo-channel {txn.pch} out of range",
-                    self._ctx(cycle, txn))
-            if not 0 <= txn.local < platform.pch_capacity:
-                raise SanitizerError(
-                    f"local address {txn.local:#x} outside channel capacity",
-                    self._ctx(cycle, txn))
+        if not 0 <= txn.pch < self._num_pch:
+            raise SanitizerError(
+                f"resolved pseudo-channel {txn.pch} out of range",
+                self._ctx(cycle, txn))
+        if not 0 <= txn.local < self._pch_capacity:
+            raise SanitizerError(
+                f"local address {txn.local:#x} outside channel capacity",
+                self._ctx(cycle, txn))
         self._inflight[uid] = (txn, cycle, txn.retries)
         if self._track_lanes and txn.is_read:
-            self._lanes.setdefault((txn.master, txn.axi_id),
-                                   deque()).append(uid)
+            key = (txn.master, txn.axi_id)
+            lane = self._lanes.get(key)
+            if lane is None:
+                self._lanes[key] = lane = deque()
+            lane.append(uid)
 
     def on_complete(self, txn: AxiTransaction, cycle: int) -> None:
         """Observer hook: every attempt's completion (OK, NACK, poisoned)."""
@@ -307,20 +342,25 @@ class Sanitizer:
     def _check_lane_order(self, txn: AxiTransaction, cycle: int) -> None:
         key = (txn.master, txn.axi_id)
         lane = self._lanes.get(key)
-        if lane is None or txn.uid not in lane:
-            raise ConservationViolation(
-                "read completion not tracked on its AXI ID lane",
-                self._ctx(cycle, txn))
-        # Successful data responses must leave the lane head-first; NACKs
-        # bypass the reorder release path, so they only vacate their slot.
-        if txn.status == STATUS_OK and lane[0] != txn.uid:
-            if self._ordering_armed:
-                raise OrderingViolation(
-                    f"same-ID response overtook transaction #{lane[0]} on "
-                    f"lane (master {txn.master}, id {txn.axi_id})",
+        uid = txn.uid
+        if lane is not None and lane[0] == uid:
+            lane.popleft()
+        else:
+            if lane is None or uid not in lane:
+                raise ConservationViolation(
+                    "read completion not tracked on its AXI ID lane",
                     self._ctx(cycle, txn))
-            self.relaxed_inversions += 1
-        lane.remove(txn.uid)
+            # Successful data responses must leave the lane head-first;
+            # NACKs bypass the reorder release path, so they only vacate
+            # their slot.
+            if txn.status == STATUS_OK:
+                if self._ordering_armed:
+                    raise OrderingViolation(
+                        f"same-ID response overtook transaction #{lane[0]} "
+                        f"on lane (master {txn.master}, id {txn.axi_id})",
+                        self._ctx(cycle, txn))
+                self.relaxed_inversions += 1
+            lane.remove(uid)
         if not lane:
             del self._lanes[key]
 

@@ -24,34 +24,50 @@ jumps to the next deadline, so fast and legacy loops raise identically.
 
 from __future__ import annotations
 
-import heapq
 import math
-from typing import Dict, List, Optional, Tuple
+from collections import deque
+from typing import Deque, Dict, Tuple
 
 from ..axi.transaction import AxiTransaction
-from ..errors import DeadlockError, TransactionTimeout
+from ..errors import DeadlockError, SimulationError, TransactionTimeout
 
 
 class TransactionWatchdog:
-    """Per-transaction deadline tracker (lazy-deletion heap)."""
+    """Per-transaction deadline tracker.
 
-    __slots__ = ("timeout", "_heap", "_alive")
+    Every deadline is its issue cycle plus the one fixed ``timeout``, and
+    the engine issues at non-decreasing cycles, so deadlines queued in
+    issue order are sorted: the earliest is at the head, and
+    :meth:`check` returns at once while the head's deadline is still
+    ahead.  :meth:`note_issue` checks the order instead of assuming it.
+    """
+
+    __slots__ = ("timeout", "_queue", "_alive", "_last")
 
     def __init__(self, timeout: int) -> None:
         self.timeout = timeout
-        #: (deadline, uid) min-heap; stale entries are dropped lazily.
-        self._heap: List[Tuple[int, int]] = []
+        #: (deadline, uid) in issue order; entries of finished or
+        #: re-armed transactions are dropped when they reach the head,
+        #: so after a :meth:`check` every entry's deadline is ahead.
+        self._queue: Deque[Tuple[int, int]] = deque()
         #: uid -> (txn, armed deadline).  The deadline disambiguates a
-        #: *re-armed* uid (retry resubmit) from its stale heap entries:
+        #: *re-armed* uid (retry resubmit) from its stale queue entries:
         #: matching on uid alone would resurrect the old, earlier deadline
         #: and time a retried transaction out against its first attempt.
         self._alive: Dict[int, Tuple[AxiTransaction, int]] = {}
+        #: The last deadline queued (every deadline is at least 1).
+        self._last = 0
 
     def note_issue(self, txn: AxiTransaction, cycle: int) -> None:
         """Arm (or re-arm, for a retry) the deadline of one transaction."""
         deadline = cycle + self.timeout
+        if deadline < self._last:
+            raise SimulationError(
+                f"transaction {txn!r} issued at cycle {cycle}, before the "
+                f"last issue at cycle {self._last - self.timeout}")
+        self._last = deadline
         self._alive[txn.uid] = (txn, deadline)
-        heapq.heappush(self._heap, (deadline, txn.uid))
+        self._queue.append((deadline, txn.uid))
 
     def note_done(self, txn: AxiTransaction) -> None:
         """Disarm on completion or NACK (a retry re-arms at resubmit)."""
@@ -59,22 +75,23 @@ class TransactionWatchdog:
 
     def next_deadline(self) -> float:
         """Earliest armed deadline, ``inf`` when nothing is watched."""
-        heap = self._heap
+        queue = self._queue
         alive = self._alive
-        while heap:
-            deadline, uid = heap[0]
+        while queue:
+            deadline, uid = queue[0]
             entry = alive.get(uid)
             if entry is not None and entry[1] == deadline:
                 return deadline
-            heapq.heappop(heap)
+            queue.popleft()
         return math.inf
 
     def check(self, cycle: int) -> None:
         """Raise :class:`TransactionTimeout` when a deadline has passed."""
-        deadline = self.next_deadline()
-        if deadline <= cycle:
-            uid = self._heap[0][1]
-            txn = self._alive[uid][0]
+        queue = self._queue
+        if not queue or queue[0][0] > cycle:
+            return
+        if self.next_deadline() <= cycle:
+            txn = self._alive[queue[0][1]][0]
             raise TransactionTimeout(
                 f"transaction {txn!r} saw no completion within "
                 f"{self.timeout} cycles (issued {txn.issue_cycle}, "

@@ -414,6 +414,14 @@ class Engine:
         stuck transaction raises a typed
         :class:`~repro.errors.TransactionTimeout` instead of spinning to
         the drain deadline.
+
+        Only masters with a queued retry can issue, so only they step:
+        the drain keeps them in a list, in the order the loops step
+        masters, rebuilt when a NACK queues a retry and filtered after
+        they step.  It keeps a running count of the credits the masters
+        hold (a retry's issue takes one, every completion or NACK
+        returns one) and asks the fabric whether it is quiescent only
+        once no credit is held and no retry is queued.
         """
         fabric = self.fabric
         masters = self.masters
@@ -423,38 +431,46 @@ class Engine:
         fast = self.config.engine == "fast"
         dog = self._txn_dog
         san = self.sanitizer
+        held = sum(mp.outstanding for mp in masters)
+        retrying = [mp for mp in masters if mp.retry_pending]
         start = self.cycle + 1
         end = start + max_cycles
         try:
             cycle = start
             while cycle < end:
                 self.cycle = cycle
-                for mp in masters:
-                    if mp.retry_pending:
+                if retrying:
+                    for mp in retrying:
+                        before = mp.outstanding
                         mp.step(cycle, fabric)
+                        held += mp.outstanding - before
+                    retrying = [mp for mp in retrying if mp.retry_pending]
                 fabric.step(cycle)
                 done = fabric.completions
                 if done:
                     fabric.completions = []
+                    requeued = False
                     for txn, _t in done:
                         mp = by_index[txn.master]
                         if dog is not None:
                             dog.note_done(txn)
                         if txn.status != STATUS_OK:
-                            mp.on_nack(txn, cycle)
+                            if mp.on_nack(txn, cycle):
+                                requeued = True
                         else:
                             mp.on_complete(txn, cycle)
                         # Observers are not notified during drain, but the
                         # sanitizer's in-flight ledger must keep tracking.
                         if san is not None:
                             san.on_complete(txn, cycle)
+                    held -= len(done)
+                    if requeued:
+                        retrying = [mp for mp in masters if mp.retry_pending]
                     if san is not None:
                         san.after_batch(cycle)
                 if dog is not None:
                     dog.check(cycle)
-                if fabric.quiescent() and all(
-                        mp.outstanding == 0 and not mp.retry_pending
-                        for mp in masters):
+                if not held and not retrying and fabric.quiescent():
                     fabric.settle(cycle)
                     if san is not None:
                         san.check_drained()
@@ -462,7 +478,7 @@ class Engine:
                 nxt = cycle + 1
                 if fast:
                     fabric_next = fabric.next_event(cycle)
-                    for mp in masters:
+                    for mp in retrying:
                         r = mp.next_retry()
                         if r < fabric_next:
                             fabric_next = r

@@ -31,6 +31,7 @@ in ``tests/test_telemetry.py``).
 from __future__ import annotations
 
 import math
+import weakref
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from .metrics import COUNTER, GAUGE, Log2Histogram, Probe, ProbeSet
@@ -52,6 +53,11 @@ class Telemetry:
         tele.attach(engine)
         report = engine.run()
         print(bottleneck_report(tele, report))
+
+    The sampler refers to its engine weakly.  The engine holds the
+    sampler, so a strong reference back would put a finished run in
+    reference cycles, which only the cyclic garbage collector frees;
+    keep the engine alive while the analysis reads its masters.
     """
 
     def __init__(self, interval: int = 256) -> None:
@@ -71,9 +77,16 @@ class Telemetry:
         self.high_water: List[float] = []
         #: Per-gauge log2 histogram of sampled values (None for counters).
         self.hists: List[Optional[Log2Histogram]] = []
-        self.engine: Optional["Engine"] = None
+        self._engine: Optional["weakref.ref[Engine]"] = None
         #: Cycle :meth:`finish` was called at, or ``None`` while running.
         self.finished_cycle: Optional[int] = None
+
+    @property
+    def engine(self) -> Optional["Engine"]:
+        """The attached engine; ``None`` before :meth:`attach` or once
+        the engine has been freed."""
+        ref = self._engine
+        return None if ref is None else ref()
 
     # -- attach ----------------------------------------------------------------
 
@@ -86,9 +99,9 @@ class Telemetry:
         controllers, pseudo-channels — each fabric knows its observable
         components).
         """
-        if self.engine is not None:
+        if self._engine is not None:
             raise RuntimeError("telemetry already attached")
-        self.engine = engine
+        self._engine = weakref.ref(engine)
         engine.telemetry = self
         for mp in engine.masters:
             i = mp.index

@@ -7,9 +7,10 @@ Two complementary halves:
   the model state it leaves — the sanitizer is a pure observer, never a
   timing change;
 * **mutation**: seeded simulator bugs (duplicated completions, leaked
-  reorder slots, scrambled AXI ID lanes, lying bank state) must each be
-  caught with the matching typed :class:`~repro.errors.SanitizerError`
-  subclass, carrying a minimal repro context.
+  reorder slots, scrambled or hopped AXI ID lanes, lying bank state)
+  must each be caught with the matching typed
+  :class:`~repro.errors.SanitizerError` subclass, carrying a minimal
+  repro context.
 """
 
 from __future__ import annotations
@@ -145,6 +146,44 @@ class _LyingBankSet(BankSet):
         return ready, True
 
 
+class _EarlyColumnBankSet(BankSet):
+    """Reports the column ready one cycle before the request arrived."""
+
+    def access(self, local_addr, earliest):
+        _ready, hit = super().access(local_addr, earliest)
+        return earliest - 1, hit
+
+
+class _ForgetfulBankSet(BankSet):
+    """Activates the row but leaves its bank closed afterwards."""
+
+    def access(self, local_addr, earliest):
+        ready, hit = super().access(local_addr, earliest)
+        self.open_row[self.bank_of(local_addr)] = -1
+        return ready, hit
+
+
+class _RewindingBankSet(BankSet):
+    """Lowers a bank's activate bound below its old value on a miss."""
+
+    def access(self, local_addr, earliest):
+        bank = self.bank_of(local_addr)
+        bound = self.next_act[bank]
+        ready, hit = super().access(local_addr, earliest)
+        if not hit:
+            self.next_act[bank] = bound - 1
+        return ready, hit
+
+
+class _LaneHoppingFabric(MaoFabric):
+    """Moves each read to the next AXI ID once its data leaves the
+    controller, after the issue hook filed it on its real lane."""
+
+    def _on_read_data(self, txn, time):
+        super()._on_read_data(txn, time)
+        txn.axi_id = (txn.axi_id + 1) % self.config.reorder_depth
+
+
 def test_duplicate_completion_caught(small_platform):
     eng = _engine(small_platform, _DupFabric(small_platform), sanitize=True)
     with pytest.raises(ConservationViolation, match="not in flight") as ei:
@@ -176,6 +215,31 @@ def test_bank_state_lie_caught(small_platform):
     eng = _engine(small_platform, fabric, sanitize=True)
     with pytest.raises(BankStateViolation, match="implies miss"):
         eng.run()
+
+
+@pytest.mark.parametrize("bank_set,message", [
+    (_EarlyColumnBankSet, "column-ready .* before request time"),
+    (_ForgetfulBankSet, "access left bank open at row -1 instead of"),
+    (_RewindingBankSet, "activate bound moved backwards"),
+], ids=["ready", "open-row", "act-bound"])
+def test_bank_state_fault_caught(small_platform, bank_set, message):
+    """Each of the proxy's other three checks catches its own fault."""
+    fabric = IdealFabric(small_platform)
+    for pch in fabric.pchs:
+        pch.banks = bank_set(pch.banks.timing)
+    eng = _engine(small_platform, fabric, sanitize=True)
+    with pytest.raises(BankStateViolation, match=message) as ei:
+        eng.run()
+    assert ei.value.context.get("fabric") == "ideal"
+
+
+def test_read_moved_off_its_lane_caught(small_platform):
+    eng = _engine(small_platform, _LaneHoppingFabric(small_platform),
+                  sanitize=True)
+    with pytest.raises(ConservationViolation,
+                       match="not tracked on its AXI ID lane") as ei:
+        eng.run()
+    assert "txn" in ei.value.context
 
 
 def test_violation_context_renders_repro_recipe(small_platform):

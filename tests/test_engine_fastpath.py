@@ -500,6 +500,56 @@ def test_master_holding_an_admitted_transaction_issues_on_time(label):
     assert outcomes["fast"] == outcomes["legacy"], "fast != legacy"
 
 
+#: Fuzz cases whose drain re-issues retries, with the drain cycles both
+#: loops take: a NACK that lands mid-drain queues a retry there, and a
+#: retry queued when the run ends is the drain's first work.  Few cases
+#: of the benchmark mix reach either path.
+DRAIN_RETRY_CASES = {
+    "xlnx/CCS/2:1/bl8/o32/c1200w4/offline/small/s2": (
+        {"fabric": "xlnx", "pattern": "CCS", "rw": "2:1", "burst_len": 8,
+         "outstanding": 32, "cycles": 1200, "warmup_div": 4,
+         "fault": "offline", "platform": "small"}, 2, "nack", 1353),
+    "xlnx/SCS/2:1/bl8/o32/c1200w4/multi/small/s4001": (
+        {"fabric": "xlnx", "pattern": "SCS", "rw": "2:1", "burst_len": 8,
+         "outstanding": 32, "cycles": 1200, "warmup_div": 4,
+         "fault": "multi", "platform": "small"}, 4001, "queued", 497),
+    "mao/SCS/2:1/bl8/o32/c1200w4/multi/small/s2003": (
+        {"fabric": "mao", "pattern": "SCS", "rw": "2:1", "burst_len": 8,
+         "outstanding": 32, "cycles": 1200, "warmup_div": 4,
+         "fault": "multi", "platform": "small"}, 2003, "queued", 497),
+}
+
+
+@pytest.mark.parametrize("label", sorted(DRAIN_RETRY_CASES))
+def test_drain_with_retries_matches_across_loops(label):
+    """Both loops run the fuzz case to a drained end, as the fuzz driver
+    does: the case reaches its drain path, and the loops agree on the
+    report, the drain cycles, the post-drain totals and the model
+    state."""
+    sample, seed, path, drain_cycles = DRAIN_RETRY_CASES[label]
+    case = FuzzCase.from_sample(sample, seed=seed)
+    assert case.label() == label
+    outcomes = {}
+    for engine in ENGINE_TIERS:
+        fabric, sources = case.build()
+        eng = Engine(fabric, sources, case.sim_config(engine),
+                     faults=case.fault_plan())
+        report = eng.run()
+        queued = any(mp.retry_pending for mp in eng.masters)
+        nacks = sum(mp.nacks for mp in eng.masters)
+        drained = eng.drain(max_cycles=case.drain_budget)
+        if path == "queued":
+            assert queued, "no retry queued when the drain starts"
+        else:
+            assert sum(mp.nacks for mp in eng.masters) > nacks, (
+                "no NACK landed during the drain")
+        totals = [(mp.issued, mp.completed, mp.nacks, mp.retries,
+                   mp.unrecoverable) for mp in eng.masters]
+        outcomes[engine] = (report, drained, totals, _model_digest(eng))
+    assert outcomes["fast"] == outcomes["legacy"], "fast != legacy"
+    assert outcomes["legacy"][1] == drain_cycles
+
+
 def test_ideal_link_stall_with_staged_work(small_platform):
     """A link stall on the ideal fabric freezes transit *and* the staged
     retries.  Posted writes return no credit while the stall lasts, so
@@ -545,17 +595,20 @@ def test_finished_fabric_freed_without_gc(small_platform, fabric_key,
     """Controllers call back into their fabric through a weak proxy, a
     parked response FIFO wakes its controller through a weak reference,
     the vendor fabric empties its buffers when freed, and the sanitizer
-    refers to its engine weakly, so a finished run, sanitized or not,
-    leaves no reference cycle: dropping the engine frees the fabric by
-    reference counting alone, with nothing left for the cyclic gc."""
+    and the telemetry sampler refer to their engine weakly, so a
+    finished run, plain, sanitized or sampled, leaves no reference
+    cycle: dropping the engine frees the fabric by reference counting
+    alone, with nothing left for the cyclic gc."""
     gc.collect()
     gc.disable()
     try:
-        for sanitize in (False, True):
+        for sanitize, telemetry in ((False, False), (True, False),
+                                    (False, True)):
             eng, _ = _run(small_platform, fabric_key, Pattern.CCS,
                           TWO_TO_ONE, 32, engine, cycles=400, warmup=100,
-                          sanitize=sanitize)
+                          sanitize=sanitize, telemetry=telemetry)
             assert (eng.sanitizer is not None) == sanitize
+            assert (eng.telemetry is not None) == telemetry
             ref = weakref.ref(eng.fabric)
             del eng
             assert ref() is None

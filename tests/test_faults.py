@@ -8,12 +8,14 @@ harness, at both unit level and through full engine runs on the small
 
 from __future__ import annotations
 
+import heapq
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import (ConfigError, DeadlockError, ObserverError,
-                          TransactionTimeout)
+                          SimulationError, TransactionTimeout)
 from repro.faults import (FaultEvent, FaultKind, FaultPlan, ProgressWatchdog,
                           SecdedModel, TransactionWatchdog, build_remap,
                           BEAT_CLEAN, BEAT_CORRECTED, BEAT_UNCORRECTABLE,
@@ -189,12 +191,106 @@ class TestWatchdogs:
         with pytest.raises(TransactionTimeout):
             dog.check(600)
 
+    def test_txn_watchdog_rejects_an_earlier_issue(self):
+        dog = TransactionWatchdog(100)
+        dog.note_issue(_FakeTxn(1), 50)
+        dog.note_done(_FakeTxn(1))
+        assert dog.next_deadline() == math.inf
+        dog.note_issue(_FakeTxn(2), 50)  # the same cycle is fine
+        with pytest.raises(SimulationError, match="before the last issue"):
+            dog.note_issue(_FakeTxn(3), 49)
+
     def test_progress_watchdog_distinguishes_quiescence(self):
         dog = ProgressWatchdog(200)
         dog.note_progress(50)
         dog.check(1_000, in_flight=0)  # quiescent: fine forever
         with pytest.raises(DeadlockError):
             dog.check(250, in_flight=3)
+
+
+class _HeapWatchdog:
+    """The transaction watchdog as a lazy-deletion heap of ``(deadline,
+    uid)``, which needs no issue order: the reference for the
+    issue-ordered queue."""
+
+    def __init__(self, timeout):
+        self.timeout = timeout
+        self._heap = []
+        self._alive = {}
+
+    def note_issue(self, txn, cycle):
+        deadline = cycle + self.timeout
+        self._alive[txn.uid] = (txn, deadline)
+        heapq.heappush(self._heap, (deadline, txn.uid))
+
+    def note_done(self, txn):
+        self._alive.pop(txn.uid, None)
+
+    def next_deadline(self):
+        heap = self._heap
+        while heap:
+            deadline, uid = heap[0]
+            entry = self._alive.get(uid)
+            if entry is not None and entry[1] == deadline:
+                return deadline
+            heapq.heappop(heap)
+        return math.inf
+
+    def check(self, cycle):
+        if self.next_deadline() <= cycle:
+            raise TransactionTimeout(f"#{self._heap[0][1]} timed out")
+
+
+def _times_out(dog, cycle):
+    try:
+        dog.check(cycle)
+    except TransactionTimeout:
+        return True
+    return False
+
+
+#: One step of a watchdog's life: the clock advances by ``n`` cycles,
+#: then ``("issue", k, n)`` arms transaction ``k`` (a first issue, or a
+#: re-arm after it finished) unless it is armed, and ``("done", k, n)``
+#: disarms it.
+_WATCHDOG_STEPS = st.tuples(st.sampled_from(("issue", "done")),
+                            st.integers(0, 3), st.integers(0, 40))
+
+
+@given(timeout=st.integers(1, 60),
+       steps=st.lists(st.tuples(_WATCHDOG_STEPS, st.booleans()),
+                      max_size=80),
+       back=st.integers(1, 100))
+@settings(max_examples=300, deadline=None)
+def test_txn_watchdog_matches_heap_reference(timeout, steps, back):
+    """After every step the queue names the heap's earliest armed
+    deadline and times out exactly when the heap does, whichever of
+    the two questions comes first; an issue before the last one raises."""
+    dog = TransactionWatchdog(timeout)
+    ref = _HeapWatchdog(timeout)
+    txns = [_FakeTxn(uid) for uid in range(4)]
+    armed = set()
+    cycle = 0
+    last_issue = None
+    for (op, k, n), deadline_first in steps:
+        cycle += n
+        if op == "issue" and k not in armed:
+            dog.note_issue(txns[k], cycle)
+            ref.note_issue(txns[k], cycle)
+            armed.add(k)
+            last_issue = cycle
+        elif op == "done":
+            dog.note_done(txns[k])
+            ref.note_done(txns[k])
+            armed.discard(k)
+        if deadline_first:
+            assert dog.next_deadline() == ref.next_deadline()
+        assert _times_out(dog, cycle) == _times_out(ref, cycle)
+        assert dog.next_deadline() == ref.next_deadline()
+        assert dog.watched == len(armed)
+    if last_issue is not None and last_issue >= back:
+        with pytest.raises(SimulationError):
+            dog.note_issue(_FakeTxn(99), last_issue - back)
 
 
 # -- engine integration ------------------------------------------------------
