@@ -17,6 +17,14 @@ answer the questions the paper leaves open:
 * :func:`refresh_policy` — HBM2's optional per-bank refresh vs. the
   all-bank refresh of the paper's platform: how much of the documented
   7-9 % loss a smarter controller could recover.
+
+Each study describes each of its points as a
+:class:`~repro.experiments._common.SimPoint` and measures it through the
+result store.  A point keys by what it simulates, not by the study or
+its knob, so a study's default-knob point is one a figure already ran:
+2 lateral buses is Fig. 4's rotation 8, 300 MHz is Fig. 2's SCS
+ratios, and 2 stacks, 512 B granularity and all-bank refresh are
+Table IV's MAO CCS 2:1 point.  Whichever runs first answers the others.
 """
 
 from __future__ import annotations
@@ -25,24 +33,13 @@ from dataclasses import dataclass, replace
 from typing import List
 
 from ..core.mao import MaoConfig
-from ..fabric import MaoFabric, SegmentedFabric
-from ..params import HbmPlatform, DEFAULT_PLATFORM
-from ..traffic import make_pattern_sources, make_rotation_sources
+from ..params import DramTiming, HbmPlatform, DEFAULT_PLATFORM
 from ..types import FabricKind, Pattern, RWRatio, TWO_TO_ONE
-from ._common import DEFAULT_CYCLES, measure, sweep_key
+from ._common import DEFAULT_CYCLES, SimPoint, measure, pct_of_peak
 
 PAPER_REFERENCE = {
     "note": "extensions beyond the paper; no reference values",
 }
-
-
-def _run(kind, fabric, sources, cycles, study: str, **knob):
-    """Simulate one study point through the result store, keyed by the
-    study and the value of the knob it varies."""
-    return measure(kind, sources, cycles=cycles, platform=fabric.platform,
-                   fabric=fabric,
-                   cache_key=sweep_key("extensions", fabric.platform,
-                                       study=study, **knob))
 
 
 # --- lateral bus sweep ---------------------------------------------------------
@@ -63,14 +60,12 @@ def lateral_bus_sweep(
     rows = []
     for n in counts:
         platform = replace(DEFAULT_PLATFORM, lateral_buses=n)
-        fab = SegmentedFabric(platform)
-        src = make_rotation_sources(8, platform, address_map=fab.address_map)
-        rep = _run(FabricKind.XLNX, fab, src, cycles, "lateral",
-                   lateral_buses=n)
+        gbps = measure(SimPoint(FabricKind.XLNX, "rotation", dict(offset=8),
+                                platform=platform, cycles=cycles)).total_gbps
         rows.append(LateralRow(
             buses_per_direction=n,
-            rotation8_gbps=rep.total_gbps,
-            fraction_of_peak=rep.total_gbps / 460.8,
+            rotation8_gbps=gbps,
+            fraction_of_peak=pct_of_peak(gbps, platform),
         ))
     return rows
 
@@ -95,9 +90,9 @@ def stack_scaling(
     for n in stacks:
         platform = HbmPlatform(num_pch=16 * n,
                                pch_capacity=256 * 1024 * 1024)
-        fab = MaoFabric(platform)
-        src = make_pattern_sources(Pattern.CCS, platform)
-        rep = _run(FabricKind.MAO, fab, src, cycles, "stacks", stacks=n)
+        rep = measure(SimPoint(FabricKind.MAO, "pattern",
+                               dict(pattern=Pattern.CCS),
+                               platform=platform, cycles=cycles))
         rows.append(StackRow(
             stacks=n,
             num_pch=platform.num_pch,
@@ -124,11 +119,9 @@ def granularity_sweep(
     """MAO interleave granularity vs. CCS throughput."""
     rows = []
     for gran in granularities:
-        fab = MaoFabric(DEFAULT_PLATFORM,
-                        config=MaoConfig(interleave_granularity=gran))
-        src = make_pattern_sources(Pattern.CCS, DEFAULT_PLATFORM)
-        rep = _run(FabricKind.MAO, fab, src, cycles, "granularity",
-                   granularity=gran)
+        rep = measure(SimPoint(FabricKind.MAO, "pattern",
+                               dict(pattern=Pattern.CCS), cycles=cycles,
+                               mao=MaoConfig(interleave_granularity=gran)))
         rows.append(GranularityRow(
             granularity=gran,
             ccs_gbps=rep.total_gbps,
@@ -156,11 +149,9 @@ def clock_sweep(
     rows = []
     for mhz, rw in points:
         platform = DEFAULT_PLATFORM.with_accel_clock(mhz * 1_000_000)
-        fab = SegmentedFabric(platform)
-        src = make_pattern_sources(Pattern.SCS, platform, rw=rw,
-                                   address_map=fab.address_map)
-        rep = _run(FabricKind.XLNX, fab, src, cycles, "clock",
-                   accel_mhz=mhz, rw=rw)
+        rep = measure(SimPoint(FabricKind.XLNX, "pattern",
+                               dict(pattern=Pattern.SCS, rw=rw),
+                               platform=platform, cycles=cycles))
         rows.append(ClockRow(accel_mhz=mhz, rw=rw, scs_gbps=rep.total_gbps))
     return rows
 
@@ -171,23 +162,22 @@ def clock_sweep(
 @dataclass(frozen=True)
 class RefreshRow:
     policy: str
-    scs_gbps: float
+    ccs_gbps: float
     fraction_of_peak: float
 
 
 def refresh_policy(cycles: int = DEFAULT_CYCLES) -> List[RefreshRow]:
     """All-bank vs. per-bank refresh on a streaming workload."""
-    from ..params import DramTiming
     rows = []
     for name, per_bank in (("all-bank", False), ("per-bank", True)):
         platform = HbmPlatform(dram=DramTiming(per_bank_refresh=per_bank))
-        fab = MaoFabric(platform)
-        src = make_pattern_sources(Pattern.CCS, platform)
-        rep = _run(FabricKind.MAO, fab, src, cycles, "refresh", policy=name)
+        gbps = measure(SimPoint(FabricKind.MAO, "pattern",
+                                dict(pattern=Pattern.CCS),
+                                platform=platform, cycles=cycles)).total_gbps
         rows.append(RefreshRow(
             policy=name,
-            scs_gbps=rep.total_gbps,
-            fraction_of_peak=rep.total_gbps / 460.8,
+            ccs_gbps=gbps,
+            fraction_of_peak=pct_of_peak(gbps, platform),
         ))
     return rows
 
@@ -226,6 +216,6 @@ def format_table(results: dict) -> str:
                    f"{r.scs_gbps:7.1f} GB/s")
     out.append("\n  Refresh policy (CCS through MAO):")
     for r in results["refresh"]:
-        out.append(f"    {r.policy:>9}: {r.scs_gbps:7.1f} GB/s "
+        out.append(f"    {r.policy:>9}: {r.ccs_gbps:7.1f} GB/s "
                    f"({r.fraction_of_peak:5.1%})")
     return "\n".join(out)

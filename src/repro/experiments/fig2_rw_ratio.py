@@ -16,10 +16,8 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from ..params import HbmPlatform, DEFAULT_PLATFORM
-from ..traffic import make_pattern_sources
 from ..types import FabricKind, Pattern, RWRatio
-from .. import make_fabric
-from ._common import DEFAULT_CYCLES, measure, pct_of_peak, sweep_key
+from ._common import DEFAULT_CYCLES, SimPoint, measure, pct_of_peak
 
 #: The ratio sweep of the figure (read:write).
 RATIOS = (
@@ -53,16 +51,10 @@ def run(
 ) -> List[Fig2Row]:
     rows: List[Fig2Row] = []
     for rw in ratios:
-        fab = make_fabric(FabricKind.XLNX, platform)
-        sources = make_pattern_sources(
-            Pattern.SCS, platform, burst_len=burst_len, rw=rw,
-            address_map=fab.address_map)
-        rep = measure(FabricKind.XLNX, sources, cycles=cycles,
-                      platform=platform, fabric=fab,
-                      cache_key=sweep_key(
-                          "pattern-sim", platform, fabric=FabricKind.XLNX,
-                          pattern=Pattern.SCS, burst_len=burst_len, rw=rw,
-                          seed=0))
+        rep = measure(SimPoint(
+            FabricKind.XLNX, "pattern",
+            dict(pattern=Pattern.SCS, burst_len=burst_len, rw=rw),
+            platform=platform, cycles=cycles))
         rows.append(Fig2Row(
             ratio=rw,
             read_gbps=rep.read_gbps,

@@ -18,10 +18,8 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from ..params import HbmPlatform, DEFAULT_PLATFORM
-from ..traffic import make_pattern_sources
-from ..types import FabricKind, Pattern, RWRatio, READ_ONLY, WRITE_ONLY, TWO_TO_ONE
-from .. import make_fabric
-from ._common import DEFAULT_CYCLES, measure, pct_of_peak, sweep_key
+from ..types import FabricKind, Pattern, READ_ONLY, WRITE_ONLY, TWO_TO_ONE
+from ._common import DEFAULT_CYCLES, SimPoint, measure_all, pct_of_peak
 
 BURST_LENGTHS = (1, 2, 4, 8, 16)
 DIRECTIONS = {"RD": READ_ONLY, "WR": WRITE_ONLY, "Both": TWO_TO_ONE}
@@ -44,34 +42,6 @@ class Fig3Row:
     fraction_of_peak: float
 
 
-def _point(args) -> Fig3Row:
-    """One sweep point (module-level so it is process-pool picklable)."""
-    pattern, dir_name, bl, cycles, platform = args
-    rw = DIRECTIONS[dir_name]
-    fab = make_fabric(FabricKind.XLNX, platform)
-    sources = make_pattern_sources(
-        pattern, platform, burst_len=bl, rw=rw, address_map=fab.address_map)
-    rep = measure(FabricKind.XLNX, sources, cycles=cycles,
-                  platform=platform, fabric=fab,
-                  cache_key=sweep_key(
-                      "pattern-sim", platform, fabric=FabricKind.XLNX,
-                      pattern=pattern, burst_len=bl, rw=rw, seed=0))
-    return Fig3Row(
-        pattern=pattern,
-        direction=dir_name,
-        burst_len=bl,
-        total_gbps=rep.total_gbps,
-        fraction_of_peak=pct_of_peak(rep.total_gbps, platform),
-    )
-
-
-def _point_key(args) -> tuple:
-    """Row-level cache key (distinct namespace from the report keys)."""
-    pattern, dir_name, bl, cycles, platform = args
-    return sweep_key("fig3-row", platform, pattern=pattern,
-                     direction=dir_name, burst_len=bl, cycles=cycles)
-
-
 def run(
     cycles: int = DEFAULT_CYCLES,
     platform: HbmPlatform = DEFAULT_PLATFORM,
@@ -79,14 +49,19 @@ def run(
     burst_lengths=BURST_LENGTHS,
     workers: int | None = None,
 ) -> List[Fig3Row]:
-    from .parallel import parallel_sweep
-    from ..sim.cache import DEFAULT_CACHE
-    points = [(pattern, dir_name, bl, cycles, platform)
-              for pattern in patterns
-              for dir_name in DIRECTIONS
-              for bl in burst_lengths]
-    return parallel_sweep(_point, points, workers,
-                          cache=DEFAULT_CACHE, key_fn=_point_key)
+    grid = [(pattern, dir_name, bl)
+            for pattern in patterns
+            for dir_name in DIRECTIONS
+            for bl in burst_lengths]
+    reports = measure_all([
+        SimPoint(FabricKind.XLNX, "pattern",
+                 dict(pattern=pattern, burst_len=bl, rw=DIRECTIONS[dir_name]),
+                 platform=platform, cycles=cycles)
+        for pattern, dir_name, bl in grid], workers)
+    return [Fig3Row(pattern=pattern, direction=dir_name, burst_len=bl,
+                    total_gbps=rep.total_gbps,
+                    fraction_of_peak=pct_of_peak(rep.total_gbps, platform))
+            for (pattern, dir_name, bl), rep in zip(grid, reports)]
 
 
 def series(rows: List[Fig3Row], pattern: Pattern,

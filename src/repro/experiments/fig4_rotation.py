@@ -20,10 +20,8 @@ from typing import List
 
 from ..fabric.flow import rotation_throughput_gbps
 from ..params import HbmPlatform, DEFAULT_PLATFORM
-from ..traffic import make_rotation_sources
 from ..types import FabricKind, RWRatio, TWO_TO_ONE
-from .. import make_fabric
-from ._common import DEFAULT_CYCLES, measure, pct_of_peak, sweep_key
+from ._common import DEFAULT_CYCLES, SimPoint, measure_all, pct_of_peak
 
 OFFSETS = tuple(range(9))
 
@@ -42,23 +40,6 @@ class Fig4Row:
     flow_model_gbps: float
 
 
-def _point(args) -> float:
-    """One rotation offset (module-level so it is process-pool picklable)."""
-    offset, burst_len, rw, cycles, platform = args
-    fab = make_fabric(FabricKind.XLNX, platform)
-    sources = make_rotation_sources(offset, platform, burst_len, rw,
-                                    address_map=fab.address_map)
-    rep = measure(FabricKind.XLNX, sources, cycles=cycles,
-                  platform=platform, fabric=fab)
-    return rep.total_gbps
-
-
-def _point_key(args) -> tuple:
-    offset, burst_len, rw, cycles, platform = args
-    return sweep_key("fig4-row", platform, offset=offset,
-                     burst_len=burst_len, rw=rw, cycles=cycles)
-
-
 def run(
     cycles: int = DEFAULT_CYCLES,
     burst_len: int = 16,
@@ -67,13 +48,13 @@ def run(
     offsets=OFFSETS,
     workers: int | None = None,
 ) -> List[Fig4Row]:
-    from .parallel import parallel_sweep
-    from ..sim.cache import DEFAULT_CACHE
-    points = [(offset, burst_len, rw, cycles, platform)
-              for offset in offsets]
-    gbps = parallel_sweep(_point, points, workers,
-                          cache=DEFAULT_CACHE, key_fn=_point_key)
-    results = list(zip(offsets, gbps))
+    reports = measure_all([
+        SimPoint(FabricKind.XLNX, "rotation",
+                 dict(offset=offset, burst_len=burst_len, rw=rw),
+                 platform=platform, cycles=cycles)
+        for offset in offsets], workers)
+    results = [(offset, rep.total_gbps)
+               for offset, rep in zip(offsets, reports)]
     base = results[0][1] if results and results[0][0] == 0 else max(
         g for _, g in results)
     rows = [

@@ -14,10 +14,8 @@ from dataclasses import dataclass
 from typing import List
 
 from ..params import HbmPlatform, DEFAULT_PLATFORM
-from ..traffic import make_stride_sources
 from ..types import FabricKind, RWRatio, TWO_TO_ONE
-from .. import make_fabric
-from ._common import DEFAULT_CYCLES, measure, pct_of_peak, sweep_key
+from ._common import DEFAULT_CYCLES, SimPoint, measure, pct_of_peak
 
 KB = 1024
 STRIDES = (512, 2 * KB, 4 * KB, 8 * KB, 16 * KB, 32 * KB, 64 * KB,
@@ -46,13 +44,10 @@ def run(
 ) -> List[Fig5Row]:
     rows: List[Fig5Row] = []
     for stride in strides:
-        fab = make_fabric(FabricKind.MAO, platform)
-        sources = make_stride_sources(stride, platform, burst_len, rw)
-        rep = measure(FabricKind.MAO, sources, cycles=cycles,
-                      platform=platform, fabric=fab,
-                      cache_key=sweep_key(
-                          "stride-sim", platform, fabric=FabricKind.MAO,
-                          stride=stride, burst_len=burst_len, rw=rw))
+        rep = measure(SimPoint(
+            FabricKind.MAO, "stride",
+            dict(stride=stride, burst_len=burst_len, rw=rw),
+            platform=platform, cycles=cycles))
         rows.append(Fig5Row(
             stride=stride,
             total_gbps=rep.total_gbps,

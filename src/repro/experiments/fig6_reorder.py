@@ -12,12 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from ..core.mao import MaoConfig, MaoVariant
-from ..fabric import MaoFabric
+from ..core.mao import MaoConfig
 from ..params import HbmPlatform, DEFAULT_PLATFORM
-from ..traffic import make_pattern_sources
 from ..types import FabricKind, Pattern, RWRatio, TWO_TO_ONE
-from ._common import DEFAULT_CYCLES, measure, pct_of_peak, sweep_key
+from ._common import DEFAULT_CYCLES, SimPoint, measure, pct_of_peak
 
 DEPTHS = (1, 2, 4, 8, 16, 32)
 
@@ -44,19 +42,12 @@ def run(
 ) -> List[Fig6Row]:
     rows: List[Fig6Row] = []
     for depth in depths:
-        config = MaoConfig(variant=MaoVariant.PARTIAL, stages=2,
-                           reorder_depth=depth)
-        fab = MaoFabric(platform, config=config)
-        sources = make_pattern_sources(
-            Pattern.CCRA, platform, burst_len=burst_len, rw=rw, seed=seed)
-        # The non-default MaoConfig must discriminate the key, or these
-        # points would collide with default-config MAO runs elsewhere.
-        rep = measure(FabricKind.MAO, sources, cycles=cycles,
-                      platform=platform, fabric=fab,
-                      cache_key=sweep_key(
-                          "pattern-sim", platform, fabric=FabricKind.MAO,
-                          pattern=Pattern.CCRA, burst_len=burst_len, rw=rw,
-                          seed=seed, mao=config))
+        rep = measure(SimPoint(
+            FabricKind.MAO, "pattern",
+            dict(pattern=Pattern.CCRA, burst_len=burst_len, rw=rw,
+                 seed=seed),
+            platform=platform, cycles=cycles,
+            mao=MaoConfig(reorder_depth=depth)))
         rows.append(Fig6Row(
             reorder_depth=depth,
             total_gbps=rep.total_gbps,

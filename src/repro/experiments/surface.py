@@ -13,14 +13,11 @@ service runs warm it), and the resulting :class:`SweepSurface` serves
   are plotted and reasoned about on a log2 axis, where the measured
   curves are close to piecewise linear.
 
-Every simulated sample is stored under the *same* full cache key
-:func:`~repro.experiments._common.measure` uses (via
-:func:`point_cache_key`), so a ``repro-hbm run fig3`` sweep and a
-service warm-up are one shared body of work, not two.
-
-``simulate_point`` is module-level and takes a single picklable tuple —
-the standard contract for process-pool sweeps (see
-:mod:`repro.experiments.parallel`).
+A :class:`PatternPoint` is the service's query type; it converts to
+the :class:`~repro.experiments._common.SimPoint` that builds and keys
+the run, so a sample is stored under the key every experiment files the
+same simulation under, and a ``repro-hbm run fig3`` sweep and a service
+warm-up are one shared body of work, not two.
 """
 
 from __future__ import annotations
@@ -30,10 +27,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..params import HbmPlatform, DEFAULT_PLATFORM
-from ..traffic import make_pattern_sources
 from ..types import FabricKind, Pattern, RWRatio, TWO_TO_ONE
-from .. import make_fabric
-from ._common import DEFAULT_CYCLES, measure, measure_key, pct_of_peak, sweep_key
+from ._common import DEFAULT_CYCLES, SimPoint, measure_all, pct_of_peak
 
 #: Burst-length grid of the precomputed surface (the Fig. 3 axis).
 SURFACE_BURST_LENGTHS = (1, 2, 4, 8, 16)
@@ -55,48 +50,27 @@ class PatternPoint:
     cycles: int = DEFAULT_CYCLES
     outstanding: int = 32
 
+    def sim_point(self, platform: HbmPlatform = DEFAULT_PLATFORM
+                  ) -> SimPoint:
+        """The simulation this point asks for on ``platform``."""
+        return SimPoint(self.fabric, "pattern",
+                        dict(pattern=self.pattern, burst_len=self.burst_len,
+                             rw=self.rw),
+                        platform=platform, cycles=self.cycles,
+                        outstanding=self.outstanding)
+
 
 def point_cache_key(point: PatternPoint,
                     platform: HbmPlatform = DEFAULT_PLATFORM) -> Tuple:
-    """The full cache key :func:`measure` files this point's report under.
-
-    Built from the same ``("pattern-sim", ...)`` sweep key the experiment
-    modules use (e.g. :mod:`~repro.experiments.fig3_burst_length`), so a
-    service store and an experiment cache directory interoperate: a fig
-    sweep warms the service and vice versa.
-    """
-    base = sweep_key("pattern-sim", platform, fabric=point.fabric,
-                     pattern=point.pattern, burst_len=point.burst_len,
-                     rw=point.rw, seed=0)
-    return measure_key(base, cycles=point.cycles,
-                       outstanding=point.outstanding)
+    """The store key of ``point``'s simulation on ``platform``."""
+    return point.sim_point(platform).key()
 
 
 def simulate_point(args):
-    """Simulate one :class:`PatternPoint`; returns the full ``SimReport``.
-
-    ``args`` is ``(point, platform)`` — a single picklable tuple, so this
-    function can run inline, on the supervised pool, or in an isolation
-    worker unchanged.  Deliberately does *not* pass a ``cache_key`` to
-    :func:`measure`: the caller (a sweep or the service's job queue) owns
-    the authoritative store write (one write, in the parent, the moment
-    the result lands), and a worker-local ``DEFAULT_CACHE`` write would
-    be dead weight.
-    """
+    """Simulate ``args = (point, platform)`` once, unmemoized: the
+    caller (the service's job queue) owns the store write."""
     point, platform = args
-    fab = make_fabric(point.fabric, platform)
-    sources = make_pattern_sources(
-        point.pattern, platform, burst_len=point.burst_len, rw=point.rw,
-        address_map=fab.address_map)
-    return measure(point.fabric, sources, cycles=point.cycles,
-                   outstanding=point.outstanding, platform=platform,
-                   fabric=fab)
-
-
-def simulate_point_key(args) -> Tuple:
-    """``key_fn`` companion of :func:`simulate_point` for sweep layers."""
-    point, platform = args
-    return point_cache_key(point, platform)
+    return point.sim_point(platform).run()
 
 
 @dataclass(frozen=True)
@@ -199,15 +173,11 @@ def build_surface(
     simulated on the supervised sweep runtime and stored back, so
     repeated service start-ups cost one grid simulation total.
     """
-    from ..sim.cache import DEFAULT_CACHE
-    from .parallel import parallel_sweep
-    cache = cache if cache is not None else DEFAULT_CACHE
     points = [PatternPoint(fabric=f, pattern=p, burst_len=bl, rw=rw,
                            cycles=cycles, outstanding=outstanding)
               for f in fabrics for p in patterns
               for rw in rws for bl in burst_lengths]
-    args = [(pt, platform) for pt in points]
-    reports = parallel_sweep(simulate_point, args, workers,
-                             cache=cache, key_fn=simulate_point_key)
+    reports = measure_all([pt.sim_point(platform) for pt in points],
+                          workers, cache=cache)
     return SweepSurface([sample_from_report(pt, rep, platform)
                          for pt, rep in zip(points, reports)])

@@ -20,10 +20,8 @@ from typing import List
 
 from ..params import HbmPlatform, DEFAULT_PLATFORM
 from ..sim.stats import LatencySummary
-from ..traffic import make_pattern_sources
 from ..types import FabricKind, Pattern, RWRatio, TWO_TO_ONE
-from .. import make_fabric
-from ._common import DEFAULT_CYCLES, measure, sweep_key
+from ._common import DEFAULT_CYCLES, SimPoint, measure
 
 #: (name, outstanding, burst_len) of the two traffic setups.
 TRAFFIC_SETUPS = (("Single", 1, 1), ("Burst", 32, 16))
@@ -64,20 +62,15 @@ def run(
     for setup, outstanding, burst_len in TRAFFIC_SETUPS:
         for fabric_kind in FABRICS:
             for pattern in PATTERNS:
-                fab = make_fabric(fabric_kind, platform)
-                sources = make_pattern_sources(
-                    pattern, platform, burst_len=burst_len, rw=rw,
-                    address_map=fab.address_map, seed=seed)
-                rep = measure(fabric_kind, sources, cycles=cycles,
-                              outstanding=outstanding, platform=platform,
-                              fabric=fab,
-                              cache_key=sweep_key(
-                                  "pattern-sim", platform, fabric=fabric_kind,
-                                  pattern=pattern, burst_len=burst_len, rw=rw,
-                                  seed=seed))
+                rep = measure(SimPoint(
+                    fabric_kind, "pattern",
+                    dict(pattern=pattern, burst_len=burst_len, rw=rw,
+                         seed=seed),
+                    platform=platform, cycles=cycles,
+                    outstanding=outstanding))
                 rows.append(Table2Row(
                     setup=setup,
-                    fabric=fab.name,
+                    fabric=fabric_kind.value,
                     pattern=pattern,
                     read=rep.read_latency,
                     write=rep.write_latency,

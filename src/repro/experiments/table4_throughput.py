@@ -12,11 +12,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from ..params import HbmPlatform, DEFAULT_PLATFORM
-from ..traffic import make_pattern_sources
 from ..types import (FabricKind, Pattern, RWRatio, READ_ONLY, WRITE_ONLY,
                      TWO_TO_ONE)
-from .. import make_fabric
-from ._common import DEFAULT_CYCLES, measure, pct_of_peak, sweep_key
+from ._common import DEFAULT_CYCLES, SimPoint, measure, pct_of_peak
 
 DIRECTIONS: Tuple[Tuple[str, RWRatio], ...] = (
     ("RD", READ_ONLY), ("WR", WRITE_ONLY), ("Both", TWO_TO_ONE))
@@ -55,17 +53,11 @@ def run(
         for dir_name, rw in DIRECTIONS:
             gbps: Dict[FabricKind, float] = {}
             for kind in (FabricKind.XLNX, FabricKind.MAO):
-                fab = make_fabric(kind, platform)
-                sources = make_pattern_sources(
-                    pattern, platform, burst_len=burst_len, rw=rw,
-                    address_map=fab.address_map, seed=seed)
-                rep = measure(kind, sources, cycles=cycles,
-                              platform=platform, fabric=fab,
-                              cache_key=sweep_key(
-                                  "pattern-sim", platform, fabric=kind,
-                                  pattern=pattern, burst_len=burst_len, rw=rw,
-                                  seed=seed))
-                gbps[kind] = rep.total_gbps
+                gbps[kind] = measure(SimPoint(
+                    kind, "pattern",
+                    dict(pattern=pattern, burst_len=burst_len, rw=rw,
+                         seed=seed),
+                    platform=platform, cycles=cycles)).total_gbps
             rows.append(Table4Row(
                 pattern=pattern,
                 direction=dir_name,

@@ -18,14 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from ..accelerators import (AcceleratorA, AcceleratorB, TableVRow,
-                            build_table_v, make_accelerator_sources)
+from ..accelerators import AcceleratorA, AcceleratorB, TableVRow, build_table_v
 from ..accelerators.base import AcceleratorConfig
 from ..core.estimator import BandwidthEstimator, EstimateInputs
 from ..params import HbmPlatform, DEFAULT_PLATFORM
 from ..types import FabricKind, Pattern
-from .. import make_fabric
-from ._common import DEFAULT_CYCLES, measure, sweep_key
+from ._common import DEFAULT_CYCLES, SimPoint, measure
 
 PAPER_REFERENCE = {
     "bw_a": (12.55, 403.75),
@@ -55,17 +53,10 @@ def measure_bandwidths(
     """Run both accelerators' traffic on both fabrics."""
     values = {}
     for name, cls in (("a", AcceleratorA), ("b", AcceleratorB)):
-        model = cls(AcceleratorConfig(p=p))
         for kind in (FabricKind.XLNX, FabricKind.MAO):
-            fab = make_fabric(kind, platform)
-            sources = make_accelerator_sources(model, platform)
-            rep = measure(kind, sources, cycles=cycles, platform=platform,
-                          fabric=fab,
-                          cache_key=sweep_key("accel-sim", platform,
-                                              accel=name,
-                                              config=model.config,
-                                              fabric=kind))
-            values[(name, kind)] = rep.total_gbps
+            values[(name, kind)] = measure(SimPoint(
+                kind, "accel", dict(accel=cls, config=AcceleratorConfig(p=p)),
+                platform=platform, cycles=cycles)).total_gbps
     return MeasuredBandwidths(
         a_xlnx_gbps=values[("a", FabricKind.XLNX)],
         a_mao_gbps=values[("a", FabricKind.MAO)],

@@ -3,7 +3,8 @@
 Each named scenario builds a :class:`~repro.faults.plan.FaultPlan` scaled
 to the run length, then the harness simulates the *same* traffic twice —
 once fault-free, once under the plan with both watchdogs armed — and
-summarizes what survived:
+summarizes what survived (a suite of scenarios shares one fault-free
+run):
 
 * bandwidth retained (faulted vs. baseline steady-state GB/s),
 * read p99 latency inflation (successful attempts only, so NACKed
@@ -213,6 +214,82 @@ def _one_run(
     return report, rec, "completed"
 
 
+@dataclass(frozen=True)
+class _Baseline:
+    """What a scenario reads off its fault-free run, which depends only on
+    (fabric, pattern, cycles, seed, platform): a suite runs it once."""
+
+    gbps: float
+    read_p99: float
+    #: Watchdog guard of the faulted runs, calibrated from this run.
+    guard: int
+
+
+def _baseline(fabric: FabricKind, pattern: Pattern, cycles: int, seed: int,
+              platform: HbmPlatform) -> _Baseline:
+    # The baseline is fault-free by construction, so it runs with no
+    # watchdogs armed — and then *calibrates* the guard for the faulted
+    # run.  Worst healthy latency is a property of the exact (fabric,
+    # pattern, horizon) point only the run itself knows: saturated
+    # crossing patterns legitimately queue for several multiples of the
+    # horizon, strided ones finish in hundreds of cycles.  4x the worst
+    # healthy round trip clears every recoverable disturbance the
+    # scenario library injects (a 3x-slowed channel, retry backoff) while
+    # a genuinely dead channel still trips it.  Healthy runs are
+    # bit-identical with and without watchdogs, so disarming the baseline
+    # changes no numbers.
+    base_cfg = SimConfig(cycles=cycles, warmup=cycles // 5)
+    base_rep, base_rec, base_outcome = _one_run(
+        fabric, pattern, base_cfg, platform, seed, None)
+    assert base_rep is not None, f"fault-free baseline {base_outcome}"
+    return _Baseline(
+        gbps=base_rep.total_gbps, read_p99=_read_p99(base_rec),
+        guard=max(2000, 2 * cycles, 4 * _worst_latency(base_rec)))
+
+
+def _check(scenario: str, cycles: int) -> None:
+    """Raise a ConfigError for an unknown scenario or a too-short run."""
+    if scenario not in SCENARIOS:
+        raise ConfigError(
+            f"unknown chaos scenario {scenario!r}; "
+            f"choose from {sorted(SCENARIOS)}")
+    if cycles < 30:
+        raise ConfigError("chaos runs need at least 30 cycles")
+
+
+def _against(scenario: str, fabric: FabricKind, pattern: Pattern,
+             cycles: int, seed: int, platform: HbmPlatform, base: _Baseline,
+             telemetry=None) -> ChaosResult:
+    """Run one scenario's faulted run and summarize it against ``base``."""
+    plan = SCENARIOS[scenario].build(cycles, seed)
+    cfg = SimConfig(cycles=cycles, warmup=cycles // 5,
+                    txn_timeout_cycles=base.guard,
+                    progress_timeout_cycles=base.guard)
+    flt_rep, flt_rec, outcome = _one_run(
+        fabric, pattern, cfg, platform, seed, plan, telemetry=telemetry)
+
+    return ChaosResult(
+        scenario=scenario,
+        fabric=fabric.value,
+        pattern=pattern.name,
+        cycles=cycles,
+        seed=seed,
+        plan_text=plan.describe(),
+        degraded=plan.degrade,
+        outcome=outcome,
+        baseline_gbps=base.gbps,
+        faulted_gbps=flt_rep.total_gbps if flt_rep else 0.0,
+        baseline_read_p99=base.read_p99,
+        faulted_read_p99=_read_p99(flt_rec),
+        retries=flt_rep.retries if flt_rep else 0,
+        nacks=flt_rep.nacks if flt_rep else 0,
+        ecc_corrected=flt_rep.ecc_corrected if flt_rep else 0,
+        ecc_uncorrectable=flt_rep.ecc_uncorrectable if flt_rep else 0,
+        unrecoverable=flt_rep.unrecoverable if flt_rep else 0,
+        dead_pchs=tuple(flt_rep.dead_pchs) if flt_rep else (),
+    )
+
+
 def run_scenario(
     scenario: str,
     fabric: FabricKind = FabricKind.XLNX,
@@ -229,70 +306,22 @@ def run_scenario(
     *faulted* run, so its samples cover the disturbance and recovery the
     scenario is about; the baseline stays unobserved.
     """
-    spec = SCENARIOS.get(scenario)
-    if spec is None:
-        raise ConfigError(
-            f"unknown chaos scenario {scenario!r}; "
-            f"choose from {sorted(SCENARIOS)}")
-    if cycles < 30:
-        raise ConfigError("chaos runs need at least 30 cycles")
-    plan = spec.build(cycles, seed)
-
-    # The baseline is fault-free by construction, so it runs with no
-    # watchdogs armed — and then *calibrates* the guard for the faulted
-    # run.  Worst healthy latency is a property of the exact (fabric,
-    # pattern, horizon) point only the run itself knows: saturated
-    # crossing patterns legitimately queue for several multiples of the
-    # horizon, strided ones finish in hundreds of cycles.  4x the worst
-    # healthy round trip clears every recoverable disturbance the
-    # scenario library injects (a 3x-slowed channel, retry backoff) while
-    # a genuinely dead channel still trips it.  Healthy runs are
-    # bit-identical with and without watchdogs, so disarming the baseline
-    # changes no numbers.
-    base_cfg = SimConfig(cycles=cycles, warmup=cycles // 5)
-    base_rep, base_rec, base_outcome = _one_run(
-        fabric, pattern, base_cfg, platform, seed, None)
-    assert base_rep is not None, f"fault-free baseline {base_outcome}"
-    guard = max(2000, 2 * cycles, 4 * _worst_latency(base_rec))
-    cfg = SimConfig(cycles=cycles, warmup=cycles // 5,
-                    txn_timeout_cycles=guard,
-                    progress_timeout_cycles=guard)
-    flt_rep, flt_rec, outcome = _one_run(
-        fabric, pattern, cfg, platform, seed, plan, telemetry=telemetry)
-
-    return ChaosResult(
-        scenario=scenario,
-        fabric=fabric.value,
-        pattern=pattern.name,
-        cycles=cycles,
-        seed=seed,
-        plan_text=plan.describe(),
-        degraded=plan.degrade,
-        outcome=outcome,
-        baseline_gbps=base_rep.total_gbps,
-        faulted_gbps=flt_rep.total_gbps if flt_rep else 0.0,
-        baseline_read_p99=_read_p99(base_rec),
-        faulted_read_p99=_read_p99(flt_rec),
-        retries=flt_rep.retries if flt_rep else 0,
-        nacks=flt_rep.nacks if flt_rep else 0,
-        ecc_corrected=flt_rep.ecc_corrected if flt_rep else 0,
-        ecc_uncorrectable=flt_rep.ecc_uncorrectable if flt_rep else 0,
-        unrecoverable=flt_rep.unrecoverable if flt_rep else 0,
-        dead_pchs=tuple(flt_rep.dead_pchs) if flt_rep else (),
-    )
+    _check(scenario, cycles)
+    base = _baseline(fabric, pattern, cycles, seed, platform)
+    return _against(scenario, fabric, pattern, cycles, seed, platform, base,
+                    telemetry=telemetry)
 
 
 def _suite_point(args: tuple) -> ChaosResult:
-    """One suite scenario (module-level so it is process-pool picklable)."""
-    key, fabric, pattern, cycles, seed, platform = args
-    return run_scenario(key, fabric=fabric, pattern=pattern, cycles=cycles,
-                        seed=seed, platform=platform)
+    """One suite scenario against the suite's baseline (module-level so
+    it is process-pool picklable)."""
+    return _against(*args)
 
 
 def _suite_point_key(args: tuple) -> tuple:
     """Result-store key of one suite scenario (its plan included, so an
     edited scenario never answers from a stale entry)."""
-    key, fabric, pattern, cycles, seed, platform = args
+    key, fabric, pattern, cycles, seed, platform = args[:6]
     return sweep_key("chaos-scenario", platform, scenario=key,
                      plan=SCENARIOS[key].build(cycles, seed), fabric=fabric,
                      pattern=pattern, cycles=cycles, seed=seed)
@@ -309,9 +338,10 @@ def run_suite(
 ) -> List[ChaosResult]:
     """Run several scenarios (default: the whole library, sorted).
 
-    Runs on the supervised sweep runtime: with ``workers > 1`` the
-    scenarios fan out over a crash-supervised process pool (each
-    scenario is two simulations, so the suite parallelizes well), and a
+    The scenarios share one fault-free baseline, which the parent runs
+    once unless every scenario is in the result store.  Their faulted
+    runs go on the supervised sweep runtime: with ``workers > 1`` they
+    fan out over a crash-supervised process pool, and a
     scenario that crashes its worker surfaces as a structured
     :class:`~repro.errors.SweepError` instead of a bare
     ``BrokenProcessPool``.  Results are deterministic and identical at
@@ -323,16 +353,15 @@ def run_suite(
     # Pre-validate inputs here so a typo'd scenario still raises a plain
     # ConfigError, not a sweep failure wrapping one.
     for key in keys:
-        if key not in SCENARIOS:
-            raise ConfigError(
-                f"unknown chaos scenario {key!r}; "
-                f"choose from {sorted(SCENARIOS)}")
-    if cycles < 30:
-        raise ConfigError("chaos runs need at least 30 cycles")
+        _check(key, cycles)
     from ..experiments.parallel import parallel_sweep
     points = [(k, fabric, pattern, cycles, seed, platform) for k in keys]
-    return parallel_sweep(_suite_point, points, workers,
-                          cache=DEFAULT_CACHE, key_fn=_suite_point_key)
+    base = None
+    if any(_suite_point_key(p) not in DEFAULT_CACHE for p in points):
+        base = _baseline(fabric, pattern, cycles, seed, platform)
+    return parallel_sweep(_suite_point, [p + (base,) for p in points],
+                          workers, cache=DEFAULT_CACHE,
+                          key_fn=_suite_point_key)
 
 
 def format_result(r: ChaosResult) -> str:

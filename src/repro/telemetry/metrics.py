@@ -26,12 +26,11 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
+from ..sim.stats import HIST_BUCKETS, hist_bucket
+
 #: Probe kinds.
 COUNTER = 0
 GAUGE = 1
-
-#: Bucket count of :class:`Log2Histogram` (mirrors stats.HIST_BUCKETS).
-HIST_BUCKETS = 24
 
 
 class Log2Histogram:
@@ -44,10 +43,7 @@ class Log2Histogram:
         self.total = 0
 
     def add(self, value: float) -> None:
-        b = int(value).bit_length()
-        if b >= HIST_BUCKETS:
-            b = HIST_BUCKETS - 1
-        self.counts[b] += 1
+        self.counts[hist_bucket(value)] += 1
         self.total += 1
 
     def nonzero(self) -> List[tuple]:

@@ -279,7 +279,7 @@ class TestExtensions:
     def test_per_bank_refresh_recovers_loss(self):
         """Per-bank refresh recovers most of the all-bank refresh loss."""
         from repro.experiments.extensions import refresh_policy
-        gbps = {r.policy: r.scs_gbps for r in refresh_policy(cycles=FAST)}
+        gbps = {r.policy: r.ccs_gbps for r in refresh_policy(cycles=FAST)}
         assert gbps["per-bank"] > 1.05 * gbps["all-bank"]
 
     def test_format_table(self):

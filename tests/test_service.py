@@ -13,7 +13,7 @@ import time
 import pytest
 
 from repro.experiments import surface as surface_mod
-from repro.experiments._common import measure, measure_key, sweep_key
+from repro.experiments._common import SimPoint, measure, sweep_key
 from repro.experiments.surface import (PatternPoint, build_surface,
                                        point_cache_key, simulate_point)
 from repro.service import JobFailure, JobQueue, QueueClosed, SweepService
@@ -78,18 +78,13 @@ class TestResultStore:
         base = sweep_key("pattern-sim", small_platform, fabric=point.fabric,
                          pattern=point.pattern, burst_len=point.burst_len,
                          rw=point.rw, seed=0)
-        assert point_cache_key(point, small_platform) == \
-            measure_key(base, cycles=CYCLES, outstanding=32)
-        from repro import make_fabric
-        from repro.traffic import make_pattern_sources
-        fab = make_fabric(point.fabric, small_platform)
-        sources = make_pattern_sources(point.pattern, small_platform,
-                                       burst_len=point.burst_len,
-                                       rw=point.rw,
-                                       address_map=fab.address_map)
-        rep = measure(point.fabric, sources, cycles=CYCLES,
-                      platform=small_platform, fabric=fab,
-                      cache_key=base, cache=cache)
+        assert point_cache_key(point, small_platform) == (
+            base, ("cycles", CYCLES), ("outstanding", 32), ("faults", None))
+        rep = measure(SimPoint(point.fabric, "pattern",
+                               dict(pattern=point.pattern,
+                                    burst_len=point.burst_len, rw=point.rw),
+                               platform=small_platform, cycles=CYCLES),
+                      cache=cache)
         hit = cache.lookup(point_cache_key(point, small_platform))
         assert hit is not MISS and hit.total_gbps == rep.total_gbps
 

@@ -183,22 +183,18 @@ class TestMissSentinel:
 def test_measure_faulted_never_collides_with_fault_free_twin(small_platform):
     """Regression guard: the same sweep point with and without a fault
     plan must occupy distinct cache entries."""
-    from repro.experiments._common import measure
+    from repro.experiments._common import SimPoint, measure
     from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
-    from repro.traffic import make_pattern_sources
 
     cache = SimCache()
-    key = sweep_key("pattern-sim", small_platform, fabric=FabricKind.XLNX,
-                    pattern=Pattern.SCS, burst_len=8, rw=TWO_TO_ONE, seed=0)
     plan = FaultPlan([FaultEvent(FaultKind.PCH_SLOW, at=300, pch=1,
                                  duration=400, factor=3.0)], seed=0)
 
     def one_run(faults):
-        sources = make_pattern_sources(Pattern.SCS, small_platform,
-                                       burst_len=8)
-        return measure(FabricKind.XLNX, sources, cycles=1200,
-                       platform=small_platform, cache_key=key, cache=cache,
-                       faults=faults)
+        return measure(SimPoint(FabricKind.XLNX, "pattern",
+                                dict(pattern=Pattern.SCS, burst_len=8),
+                                platform=small_platform, cycles=1200,
+                                faults=faults), cache=cache)
 
     clean = one_run(None)
     faulted = one_run(plan)
@@ -210,21 +206,15 @@ def test_measure_faulted_never_collides_with_fault_free_twin(small_platform):
 
 def test_measure_uses_cache(small_platform):
     """measure() returns the memoized report on a key hit."""
-    from repro.experiments._common import measure
-    from repro.fabric import MaoFabric
-    from repro.traffic import make_pattern_sources
+    from repro.experiments._common import SimPoint, measure
 
     cache = SimCache()
-    key = sweep_key("pattern-sim", small_platform, fabric=FabricKind.MAO,
-                    pattern=Pattern.CCS, burst_len=8, rw=TWO_TO_ONE, seed=0)
 
     def one_run():
-        fab = MaoFabric(small_platform)
-        sources = make_pattern_sources(Pattern.CCS, small_platform,
-                                       burst_len=8)
-        return measure(FabricKind.MAO, sources, cycles=1000,
-                       platform=small_platform, fabric=fab,
-                       cache_key=key, cache=cache)
+        return measure(SimPoint(FabricKind.MAO, "pattern",
+                                dict(pattern=Pattern.CCS, burst_len=8),
+                                platform=small_platform, cycles=1000),
+                       cache=cache)
 
     r1 = one_run()
     r2 = one_run()
